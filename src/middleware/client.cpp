@@ -1,7 +1,9 @@
 #include "middleware/client.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -25,73 +27,96 @@ void instrument_reply(Mailbox<SedResponse>& reply) {
   reply.instrument(probe);
 }
 
-/// ScopedTimer target for one protocol step, or nullptr when off.
-obs::Histogram* step_histogram(const char* step) {
-  if (!obs::enabled()) return nullptr;
-  return &obs::metrics().histogram(std::string("middleware.") + step + "_us");
+/// Steps (1)-(4) as a pull: Algorithm 1 runs on the client and asks the
+/// daemons for exactly the performance-vector entries it reads — ranged
+/// requests, batched across clusters by sched::demand_repartition — so
+/// result.performance ends up holding entries 1..min(share + 1, NS) per
+/// cluster and result.repartition is the full vectors' decision, bit for
+/// bit. The time spent waiting on pulls is recorded as step1_3, the rest as
+/// step4.
+void pull_repartition(Deployment& agent, const appmodel::Ensemble& ensemble,
+                      sched::Heuristic heuristic, int request_id,
+                      Mailbox<SedResponse>& reply,
+                      const sched::PlacementCharge& charge,
+                      CampaignResult& result) {
+  const bool observed = obs::enabled();
+  const obs::Clock& clock = obs::WallClock::instance();
+  obs::Span span(observed ? &obs::trace_buffer() : nullptr,
+                 "steps 1-4: pulled perf vectors + Algorithm 1", "middleware");
+  const double start_us = observed ? clock.now_us() : 0.0;
+  double pull_us = 0.0;
+  int pulls = 0;
+  const sched::PrefixExtender pull =
+      [&](std::vector<sched::PerformanceVector>& performance,
+          std::span<const std::size_t> want) {
+        const double pull_start_us = observed ? clock.now_us() : 0.0;
+        int outstanding = 0;
+        for (std::size_t c = 0; c < performance.size(); ++c) {
+          if (performance[c].size() >= want[c]) continue;
+          agent.send_perf_request(
+              static_cast<ClusterId>(c), request_id, ensemble.scenarios,
+              ensemble.months, static_cast<Count>(performance[c].size()) + 1,
+              static_cast<Count>(want[c]), heuristic, reply);
+          ++outstanding;
+        }
+        for (int received = 0; received < outstanding; ++received) {
+          std::optional<SedResponse> response = reply.receive();
+          if (!response)
+            throw std::runtime_error(
+                "oagrid: SeD channel closed during step 3");
+          const auto* perf = std::get_if<PerfResponse>(&*response);
+          if (perf == nullptr || perf->request_id != request_id ||
+              perf->cluster < 0 ||
+              static_cast<std::size_t>(perf->cluster) >= performance.size())
+            throw std::runtime_error(
+                "oagrid: unexpected response during step 3");
+          sched::PerformanceVector& prefix =
+              performance[static_cast<std::size_t>(perf->cluster)];
+          if (perf->first != static_cast<Count>(prefix.size()) + 1)
+            throw std::runtime_error(
+                "oagrid: performance entries out of order during step 3");
+          prefix.insert(prefix.end(), perf->performance.begin(),
+                        perf->performance.end());
+        }
+        pulls += outstanding;
+        if (observed) pull_us += clock.now_us() - pull_start_us;
+      };
+  result.performance.assign(static_cast<std::size_t>(agent.daemon_count()),
+                            {});
+  result.repartition = sched::demand_repartition(
+      result.performance, ensemble.scenarios, pull, charge);
+  if (observed) {
+    obs::metrics().counter("middleware.perf_pulls").add(
+        static_cast<std::uint64_t>(pulls));
+    obs::metrics().histogram("middleware.step1_3_us").record(pull_us);
+    obs::metrics()
+        .histogram("middleware.step4_us")
+        .record(clock.now_us() - start_us - pull_us);
+  }
+  OAGRID_INFO << "client: steps 1-4 complete, " << pulls
+              << " performance request(s) pulled";
 }
 
-}  // namespace
-
-CampaignResult Client::submit(const appmodel::Ensemble& ensemble,
-                              sched::Heuristic heuristic) {
-  ensemble.validate();
-  OAGRID_REQUIRE(agent_.daemon_count() >= 1, "no server daemon deployed");
-  const int request_id = next_request_id_++;
-  if (obs::enabled()) obs::metrics().counter("middleware.campaigns").add();
-  obs::Span campaign_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
-                          "campaign #" + std::to_string(request_id),
-                          "middleware");
-  CampaignResult result;
-
-  // Steps (1)-(3): broadcast the request, gather one performance vector per
-  // cluster, whatever the arrival order.
-  Mailbox<SedResponse> reply;
-  instrument_reply(reply);
-  {
-    obs::ScopedTimer step_timer(step_histogram("step1_3"));
-    obs::Span step_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
-                        "steps 1-3: perf vectors", "middleware");
-    const int expected = agent_.broadcast_perf_request(
-        request_id, ensemble.scenarios, ensemble.months, heuristic, reply);
-    result.performance.resize(static_cast<std::size_t>(expected));
-    for (int received = 0; received < expected; ++received) {
-      std::optional<SedResponse> response = reply.receive();
-      if (!response)
-        throw std::runtime_error("oagrid: SeD channel closed during step 3");
-      const auto* perf = std::get_if<PerfResponse>(&*response);
-      if (perf == nullptr || perf->request_id != request_id)
-        throw std::runtime_error("oagrid: unexpected response during step 3");
-      result.performance[static_cast<std::size_t>(perf->cluster)] =
-          perf->performance;
-    }
-    OAGRID_INFO << "client: step 3 complete, " << expected
-                << " performance vector(s) received";
-  }
-
-  // Step (4): Algorithm 1 on the client.
-  {
-    obs::ScopedTimer step_timer(step_histogram("step4"));
-    result.repartition =
-        sched::greedy_repartition(result.performance, ensemble.scenarios);
-  }
-
-  // Steps (5)-(6): dispatch each cluster's share (clusters with zero
-  // scenarios are not contacted, as in the paper's flow), then collect the
-  // execution reports.
-  obs::ScopedTimer step_timer(step_histogram("step5_6"));
+/// Steps (5)-(6): dispatch each cluster's share (clusters with zero
+/// scenarios are not contacted, as in the paper's flow), then collect the
+/// execution reports, sorted by cluster.
+void execute_shares(Deployment& agent, const appmodel::Ensemble& ensemble,
+                    sched::Heuristic heuristic, int request_id,
+                    Mailbox<SedResponse>& reply, CampaignResult& result) {
+  obs::ScopedTimer step_timer(
+      obs::enabled() ? &obs::metrics().histogram("middleware.step5_6_us")
+                     : nullptr);
   obs::Span step_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
                       "steps 5-6: execution", "middleware");
   int outstanding = 0;
-  for (ClusterId c = 0; c < agent_.daemon_count(); ++c) {
+  for (ClusterId c = 0; c < agent.daemon_count(); ++c) {
     const Count share =
         result.repartition.dags_per_cluster[static_cast<std::size_t>(c)];
     if (share == 0) continue;
-    agent_.send_execute(c, request_id, share, ensemble.months, heuristic,
-                        reply);
+    agent.send_execute(c, request_id, share, ensemble.months, heuristic,
+                       reply);
     ++outstanding;
   }
-
   for (int received = 0; received < outstanding; ++received) {
     std::optional<SedResponse> response = reply.receive();
     if (!response)
@@ -106,6 +131,25 @@ CampaignResult Client::submit(const appmodel::Ensemble& ensemble,
             [](const ExecuteResponse& a, const ExecuteResponse& b) {
               return a.cluster < b.cluster;
             });
+}
+
+}  // namespace
+
+CampaignResult Client::submit(const appmodel::Ensemble& ensemble,
+                              sched::Heuristic heuristic) {
+  ensemble.validate();
+  OAGRID_REQUIRE(agent_.daemon_count() >= 1, "no server daemon deployed");
+  const int request_id = next_request_id_++;
+  if (obs::enabled()) obs::metrics().counter("middleware.campaigns").add();
+  obs::Span campaign_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
+                          "campaign #" + std::to_string(request_id),
+                          "middleware");
+  CampaignResult result;
+  Mailbox<SedResponse> reply;
+  instrument_reply(reply);
+  pull_repartition(agent_, ensemble, heuristic, request_id, reply, nullptr,
+                   result);
+  execute_shares(agent_, ensemble, heuristic, request_id, reply, result);
   OAGRID_INFO << "client: campaign finished, makespan " << result.makespan
               << " s";
   return result;
@@ -140,47 +184,12 @@ Client::StagedCampaignResult Client::submit_staged(
   result.collection_seconds.assign(n, 0.0);
   CampaignResult& campaign = result.campaign;
 
-  // Steps (1)-(3): identical to submit().
+  // Steps (1)-(4): the pull of submit(), each candidate cluster charged the
+  // serialized cost of moving its files over the home links.
   Mailbox<SedResponse> reply;
   instrument_reply(reply);
-  {
-    obs::ScopedTimer step_timer(step_histogram("step1_3"));
-    const int expected = agent_.broadcast_perf_request(
-        request_id, ensemble.scenarios, ensemble.months, heuristic, reply);
-    campaign.performance.resize(static_cast<std::size_t>(expected));
-    for (int received = 0; received < expected; ++received) {
-      std::optional<SedResponse> response = reply.receive();
-      if (!response)
-        throw std::runtime_error("oagrid: SeD channel closed during step 3");
-      const auto* perf = std::get_if<PerfResponse>(&*response);
-      if (perf == nullptr || perf->request_id != request_id)
-        throw std::runtime_error("oagrid: unexpected response during step 3");
-      campaign.performance[static_cast<std::size_t>(perf->cluster)] =
-          perf->performance;
-    }
-  }
-
-  // Step (4): Algorithm 1, each candidate charged the serialized cost of
-  // moving its files over the home links.
-  {
-    obs::ScopedTimer step_timer(step_histogram("step4"));
-    const auto charge = [&](std::size_t c, Count k) -> Seconds {
-      if (!data.active() || k <= 0) return 0.0;
-      const auto dst = static_cast<ClusterId>(c);
-      Seconds total = 0.0;
-      if (data.stage_mb_per_scenario > 0.0)
-        total += data.network.transfer_time(
-            data.home, dst,
-            static_cast<double>(k) * data.stage_mb_per_scenario);
-      if (data.collect_mb_per_scenario > 0.0)
-        total += data.network.transfer_time(
-            dst, data.home,
-            static_cast<double>(k) * data.collect_mb_per_scenario);
-      return total;
-    };
-    campaign.repartition = sched::greedy_repartition_charged(
-        campaign.performance, ensemble.scenarios, charge);
-  }
+  pull_repartition(agent_, ensemble, heuristic, request_id, reply,
+                   sim::network_placement_charge(data), campaign);
 
   // Input staging: every scenario's restart/forcing files leave home at
   // t = 0, fair-shared per link; a cluster may start only once its last
@@ -210,30 +219,7 @@ Client::StagedCampaignResult Client::submit_staged(
   }
 
   // Steps (5)-(6): identical to submit(), over the charged repartition.
-  obs::ScopedTimer step_timer(step_histogram("step5_6"));
-  int outstanding = 0;
-  for (ClusterId c = 0; c < agent_.daemon_count(); ++c) {
-    const Count share =
-        campaign.repartition.dags_per_cluster[static_cast<std::size_t>(c)];
-    if (share == 0) continue;
-    agent_.send_execute(c, request_id, share, ensemble.months, heuristic,
-                        reply);
-    ++outstanding;
-  }
-  for (int received = 0; received < outstanding; ++received) {
-    std::optional<SedResponse> response = reply.receive();
-    if (!response)
-      throw std::runtime_error("oagrid: SeD channel closed during step 6");
-    const auto* exec = std::get_if<ExecuteResponse>(&*response);
-    if (exec == nullptr || exec->request_id != request_id)
-      throw std::runtime_error("oagrid: unexpected response during step 6");
-    campaign.executions.push_back(*exec);
-    campaign.makespan = std::max(campaign.makespan, exec->makespan);
-  }
-  std::sort(campaign.executions.begin(), campaign.executions.end(),
-            [](const ExecuteResponse& a, const ExecuteResponse& b) {
-              return a.cluster < b.cluster;
-            });
+  execute_shares(agent_, ensemble, heuristic, request_id, reply, campaign);
 
   // Result collection: each cluster ships its archives home the moment its
   // (staging-delayed) compute drains.

@@ -24,6 +24,14 @@ class Deployment {
                                      Count months, sched::Heuristic heuristic,
                                      Mailbox<SedResponse>& reply) = 0;
 
+  /// Steps (1)-(3) as a pull: ask the daemon serving cluster `id` for
+  /// entries first..last of its performance vector; the PerfResponse
+  /// arrives at `reply`. Routed like send_execute; throws on an unknown id.
+  virtual void send_perf_request(ClusterId id, int request_id, Count scenarios,
+                                 Count months, Count first, Count last,
+                                 sched::Heuristic heuristic,
+                                 Mailbox<SedResponse>& reply) = 0;
+
   /// Step (5): deliver one execution request to the daemon serving cluster
   /// `id`. Throws on an unknown id.
   virtual void send_execute(ClusterId id, int request_id, Count scenarios,

@@ -73,7 +73,7 @@ void LocalAgent::handle(const AgentRoute& route) {
     }
     return;
   }
-  OAGRID_WARN << "local agent dropped execute for unknown cluster "
+  OAGRID_WARN << "local agent dropped a request for unknown cluster "
               << route.target;
 }
 
@@ -132,6 +132,23 @@ int HierarchicalAgent::broadcast_perf_request(int request_id, Count scenarios,
   return daemon_count();
 }
 
+void HierarchicalAgent::send_perf_request(ClusterId id, int request_id,
+                                          Count scenarios, Count months,
+                                          Count first, Count last,
+                                          sched::Heuristic heuristic,
+                                          Mailbox<SedResponse>& reply) {
+  OAGRID_REQUIRE(id >= 0 && id < daemon_count(), "unknown cluster id");
+  PerfRequest request;
+  request.request_id = request_id;
+  request.scenarios = scenarios;
+  request.months = months;
+  request.first = first;
+  request.last = last;
+  request.heuristic = heuristic;
+  request.reply = &reply;
+  root_->inbox().send(AgentMessage{AgentRoute{id, SedRequest{request}}});
+}
+
 void HierarchicalAgent::send_execute(ClusterId id, int request_id,
                                      Count scenarios, Count months,
                                      sched::Heuristic heuristic,
@@ -143,7 +160,7 @@ void HierarchicalAgent::send_execute(ClusterId id, int request_id,
   request.months = months;
   request.heuristic = heuristic;
   request.reply = &reply;
-  root_->inbox().send(AgentMessage{AgentRoute{id, request}});
+  root_->inbox().send(AgentMessage{AgentRoute{id, SedRequest{request}}});
 }
 
 void HierarchicalAgent::shutdown() {

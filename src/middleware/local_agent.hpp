@@ -7,7 +7,8 @@
 /// talks to a few LAs, each LA to a few children, leaves to SeDs — so no
 /// single agent fans out to hundreds of servers. Each LocalAgent here is a
 /// genuine thread with a mailbox: broadcasts travel down the tree hop by
-/// hop, and targeted execution requests are routed by cluster-id ownership.
+/// hop, and targeted requests (ranged perf pulls, executions) are routed by
+/// cluster-id ownership.
 ///
 /// HierarchicalAgent assembles the whole deployment (SeD fleet + balanced LA
 /// tree of a given branching factor) and exposes the client-facing
@@ -26,13 +27,14 @@
 namespace oagrid::middleware {
 
 /// Internal agent-to-agent message set: a broadcast that keeps fanning out,
-/// a routed execute, and shutdown.
+/// a request routed to one cluster (a ranged perf pull or an execute), and
+/// shutdown.
 struct AgentBroadcast {
   PerfRequest request;
 };
 struct AgentRoute {
   ClusterId target = -1;
-  ExecuteRequest request;
+  SedRequest request;
 };
 struct AgentShutdown {};
 using AgentMessage = std::variant<AgentBroadcast, AgentRoute, AgentShutdown>;
@@ -86,6 +88,10 @@ class HierarchicalAgent final : public Deployment {
   int broadcast_perf_request(int request_id, Count scenarios, Count months,
                              sched::Heuristic heuristic,
                              Mailbox<SedResponse>& reply) override;
+  void send_perf_request(ClusterId id, int request_id, Count scenarios,
+                         Count months, Count first, Count last,
+                         sched::Heuristic heuristic,
+                         Mailbox<SedResponse>& reply) override;
   void send_execute(ClusterId id, int request_id, Count scenarios, Count months,
                     sched::Heuristic heuristic,
                     Mailbox<SedResponse>& reply) override;

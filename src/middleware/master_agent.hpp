@@ -37,6 +37,12 @@ class MasterAgent final : public Deployment {
                              sched::Heuristic heuristic,
                              Mailbox<SedResponse>& reply) override;
 
+  /// Steps (1)-(3) as a pull: one ranged performance request to one daemon.
+  void send_perf_request(ClusterId id, int request_id, Count scenarios,
+                         Count months, Count first, Count last,
+                         sched::Heuristic heuristic,
+                         Mailbox<SedResponse>& reply) override;
+
   /// Step (5): send one execution request to one daemon.
   void send_execute(ClusterId id, int request_id, Count scenarios, Count months,
                     sched::Heuristic heuristic,

@@ -18,10 +18,12 @@ namespace oagrid::middleware {
 template <typename T>
 class Mailbox;
 
-/// Step (3) payload.
+/// Step (3) payload: entries first..first+performance.size()-1 of the
+/// cluster's performance vector.
 struct PerfResponse {
   int request_id = 0;
   ClusterId cluster = 0;
+  Count first = 1;
   sched::PerformanceVector performance;
 };
 
@@ -52,11 +54,16 @@ struct ProgressUpdate {
 using SedResponse = std::variant<PerfResponse, ExecuteResponse, ProgressUpdate>;
 
 /// Step (1) request: "compute the time needed to execute from 1 to NS
-/// simulations".
+/// simulations" — or, when the client pulls its vectors on demand, only
+/// entries first..last of that vector. The default range, 1..NS, is the
+/// paper's full request; a ranged one extends a prefix the client already
+/// holds, and its entries equal the full vector's bit for bit.
 struct PerfRequest {
   int request_id = 0;
   Count scenarios = 0;  ///< NS
   Count months = 0;     ///< NM
+  Count first = 1;      ///< first entry wanted (1-based)
+  Count last = 0;       ///< last entry wanted, inclusive; 0 = NS
   sched::Heuristic heuristic = sched::Heuristic::kKnapsack;
   Mailbox<SedResponse>* reply = nullptr;
 };

@@ -79,16 +79,22 @@ void ServerDaemon::serve() {
 }
 
 void ServerDaemon::handle(const PerfRequest& request) {
+  const Count last = request.last == 0 ? request.scenarios : request.last;
   OAGRID_DEBUG << "SeD " << id_ << " perf request #" << request.request_id
-               << " NS=" << request.scenarios << " NM=" << request.months;
+               << " NS=" << request.scenarios << " NM=" << request.months
+               << " entries " << request.first << ".." << last;
   obs::ScopedTimer timer(
       obs::enabled() ? &obs::metrics().histogram("middleware.sed.perf_us")
                      : nullptr);
   PerfResponse response;
   response.request_id = request.request_id;
   response.cluster = id_;
-  response.performance = sim::performance_vector(
-      cluster_, request.scenarios, request.months, request.heuristic);
+  response.first = request.first;
+  const sim::VectorSource source(cluster_, request.scenarios, request.months,
+                                 request.heuristic);
+  const sim::EntryRange range{0, request.first, last};
+  response.performance =
+      std::move(sim::evaluate_entries({&source, 1}, {&range, 1}).front());
   if (request.reply) request.reply->send(SedResponse{std::move(response)});
 }
 

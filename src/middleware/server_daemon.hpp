@@ -4,8 +4,9 @@
 ///
 /// The SeD owns its cluster description and answers two request kinds:
 /// performance estimation (simulating 1..NS scenarios locally, step 2 of
-/// Figure 9) and execution (step 6, here: running the discrete-event
-/// simulation of its assigned share). Requests arrive through a mailbox;
+/// Figure 9 — or only the entry range a pulling client asks for) and
+/// execution (step 6, here: running the discrete-event simulation of its
+/// assigned share). Requests arrive through a mailbox;
 /// responses go to the reply mailbox carried by each request, so multiple
 /// concurrent clients are possible.
 

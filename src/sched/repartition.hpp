@@ -60,6 +60,33 @@ using PlacementCharge = std::function<Seconds(std::size_t cluster, Count k)>;
     std::span<const PerformanceVector> performance, Count scenarios,
     const PlacementCharge& charge);
 
+/// Grows performance-vector prefixes on demand: for every cluster c with
+/// performance[c].size() < want[c], appends entries performance[c].size()+1
+/// .. want[c] (want[c] never exceeds the scenario count). Appending more —
+/// say, whole chunks — is allowed; entries past the need are dropped again.
+/// The appended entries must be the full vector's, bit for bit: Algorithm 1
+/// reads them as such. Short prefixes are requested together, so an
+/// implementation can evaluate every new (cluster, k) entry as one parallel
+/// batch.
+using PrefixExtender = std::function<void(
+    std::vector<PerformanceVector>& performance,
+    std::span<const std::size_t> want)>;
+
+/// Algorithm 1 pulling its performance vectors instead of consuming finished
+/// ones (Figure 9 steps 2-4 as a pull). performance[c] starts as a prefix
+/// (possibly empty) of cluster c's vector; whenever a candidate lies past it,
+/// `extend` is asked for the missing entries, batched across clusters by a
+/// forecast of the final shares. The assignment, tie-breaks and makespan are
+/// bit for bit those of greedy_repartition_charged over the full vectors
+/// (greedy_repartition with a null charge). `charge` may read `performance`
+/// (fault::make_failure_charge does): it is only called on entries already
+/// in the prefix. On return performance[c] holds exactly entries
+/// 1..min(share_c + 1, scenarios) — what the heap read plus the one-move
+/// lookahead is_locally_optimal needs — whatever the batching was.
+[[nodiscard]] Repartition demand_repartition(
+    std::vector<PerformanceVector>& performance, Count scenarios,
+    const PrefixExtender& extend, const PlacementCharge& charge = nullptr);
+
 /// Exhaustive optimum over all compositions of `scenarios` into
 /// performance.size() parts. Exponential in cluster count — test/bench
 /// oracle only (the paper argues n and NS are small, §5).
@@ -68,7 +95,10 @@ using PlacementCharge = std::function<Seconds(std::size_t cluster, Count k)>;
 
 /// The paper's local-optimality claim: "if we map a scenario onto another
 /// cluster, the total makespan cannot decrease". True when moving any single
-/// scenario between clusters does not reduce the makespan.
+/// scenario between clusters does not reduce the makespan. Requires every
+/// performance[c] to hold at least min(share_c + 1, total shares) entries
+/// (demand_repartition's prefixes do), so that no move is skipped for want
+/// of an entry.
 [[nodiscard]] bool is_locally_optimal(
     std::span<const PerformanceVector> performance,
     const Repartition& repartition);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/parallel.hpp"
+#include "common/thread_pool.hpp"
 #include "fault/checkpoint.hpp"
 #include "net/fairshare.hpp"
 #include "obs/obs.hpp"
@@ -22,6 +22,18 @@ Seconds batch_transfer_time(const net::NetworkModel& network, ClusterId src,
 }
 
 }  // namespace
+
+sched::PlacementCharge network_placement_charge(
+    const GridNetworkOptions& options) {
+  if (!options.active()) return nullptr;
+  return [&options](std::size_t c, Count k) -> Seconds {
+    const auto dst = static_cast<ClusterId>(c);
+    return batch_transfer_time(options.network, options.home, dst, k,
+                               options.stage_mb_per_scenario) +
+           batch_transfer_time(options.network, dst, options.home, k,
+                               options.collect_mb_per_scenario);
+  };
+}
 
 GridNetworkOptions campaign_network_options(
     net::NetworkModel network, const appmodel::Ensemble& ensemble,
@@ -66,79 +78,78 @@ GridSimResult simulate_grid(const platform::Grid& grid,
   const bool observed = obs::enabled();
   obs::Histogram* const perf_us =
       observed ? &obs::metrics().histogram("sim.perf_vector_us") : nullptr;
+  const std::size_t n = static_cast<std::size_t>(grid.cluster_count());
 
-  GridSimResult result;
-  result.performance.resize(static_cast<std::size_t>(grid.cluster_count()));
-  parallel_for(
-      0, static_cast<std::size_t>(grid.cluster_count()),
-      [&](std::size_t c) {
+  // Step 2 on demand: Algorithm 1 pulls the entries it reads, and each pull
+  // evaluates every new (cluster, k) entry as one longest-first pool region.
+  std::vector<VectorSource> sources;
+  sources.reserve(n);
+  for (std::size_t c = 0; c < n; ++c)
+    sources.emplace_back(grid.cluster(static_cast<ClusterId>(c)),
+                         ensemble.scenarios, ensemble.months, heuristic);
+  const sched::PrefixExtender extend =
+      [&](std::vector<sched::PerformanceVector>& performance,
+          std::span<const std::size_t> want) {
         obs::ScopedTimer timer(perf_us);
         obs::Span span(observed ? &obs::trace_buffer() : nullptr,
-                       "perf vector: " +
-                           grid.cluster(static_cast<ClusterId>(c)).name(),
-                       "sim");
-        result.performance[c] =
-            performance_vector(grid.cluster(static_cast<ClusterId>(c)),
-                               ensemble.scenarios, ensemble.months, heuristic);
-      },
-      threads);
+                       "perf vector entries", "sim");
+        std::vector<EntryRange> ranges;
+        for (std::size_t c = 0; c < n; ++c)
+          if (performance[c].size() < want[c])
+            ranges.push_back({c, static_cast<Count>(performance[c].size()) + 1,
+                              static_cast<Count>(want[c])});
+        const std::vector<sched::PerformanceVector> entries =
+            evaluate_entries(sources, ranges, threads);
+        for (std::size_t r = 0; r < ranges.size(); ++r) {
+          sched::PerformanceVector& prefix = performance[ranges[r].source];
+          prefix.insert(prefix.end(), entries[r].begin(), entries[r].end());
+        }
+      };
   if (observed)
     obs::metrics().counter("sim.grid_campaigns").add();
 
-  const std::size_t n = static_cast<std::size_t>(grid.cluster_count());
+  GridSimResult result;
+  result.performance.resize(n);
   result.staging_seconds.assign(n, 0.0);
   result.collection_seconds.assign(n, 0.0);
 
   // Algorithm 1, with each candidate cluster charged the serialized cost of
   // moving its k scenarios' files over the home link (when a network is
-  // attached) plus its expected failure inflation (when a failure model is).
-  // Both charges absent -> the paper's uncharged greedy, bit for bit.
-  sched::PlacementCharge net_charge;
-  if (net_options.active()) {
-    net_charge = [&net_options](std::size_t c, Count k) -> Seconds {
-      const auto dst = static_cast<ClusterId>(c);
-      return batch_transfer_time(net_options.network, net_options.home, dst, k,
-                                 net_options.stage_mb_per_scenario) +
-             batch_transfer_time(net_options.network, dst, net_options.home, k,
-                                 net_options.collect_mb_per_scenario);
-    };
-  }
+  // attached) plus its expected failure inflation (when a failure model is),
+  // read off the same growing prefixes. Both charges absent -> the paper's
+  // uncharged greedy, bit for bit (0.0 + x == x keeps a lone charge exact).
+  const sched::PlacementCharge net_charge =
+      network_placement_charge(net_options);
   sched::PlacementCharge failure_charge;
   if (fault_options.active() && fault_options.charge_placement)
     failure_charge = fault::make_failure_charge(
         fault_options.model, result.performance, ensemble.months,
         fault_options.checkpoint_months);
-  if (!net_charge && !failure_charge) {
-    result.repartition =
-        sched::greedy_repartition(result.performance, ensemble.scenarios);
-  } else if (net_charge && failure_charge) {
-    const auto combined = [&net_charge, &failure_charge](std::size_t c,
-                                                         Count k) -> Seconds {
-      return net_charge(c, k) + failure_charge(c, k);
+  sched::PlacementCharge charge;
+  if (net_charge || failure_charge)
+    charge = [&net_charge, &failure_charge](std::size_t c, Count k) {
+      Seconds total = 0.0;
+      if (net_charge) total += net_charge(c, k);
+      if (failure_charge) total += failure_charge(c, k);
+      return total;
     };
-    result.repartition = sched::greedy_repartition_charged(
-        result.performance, ensemble.scenarios, combined);
-  } else {
-    result.repartition = sched::greedy_repartition_charged(
-        result.performance, ensemble.scenarios,
-        net_charge ? net_charge : failure_charge);
-  }
+  result.repartition = sched::demand_repartition(
+      result.performance, ensemble.scenarios, extend, charge);
 
   // Per-cluster compute times: the clean performance-vector entry, replaced
   // by a failure-injected DES run wherever the cluster can actually fail
   // (elsewhere the substitution is the very same double, so an inactive
   // model stays bit-identical).
-  const std::size_t cluster_n = static_cast<std::size_t>(grid.cluster_count());
-  std::vector<Seconds> compute(cluster_n, 0.0);
-  for (std::size_t c = 0; c < cluster_n; ++c) {
+  std::vector<Seconds> compute(n, 0.0);
+  for (std::size_t c = 0; c < n; ++c) {
     const Count k = result.repartition.dags_per_cluster[c];
     if (k > 0)
       compute[c] = result.performance[c][static_cast<std::size_t>(k) - 1];
   }
   if (fault_options.active()) {
-    std::vector<fault::FaultStats> stats(cluster_n);
-    parallel_for(
-        0, cluster_n,
+    std::vector<fault::FaultStats> stats(n);
+    shared_pool().parallel_for(
+        0, n,
         [&](std::size_t c) {
           const Count k = result.repartition.dags_per_cluster[c];
           const auto cid = static_cast<ClusterId>(c);

@@ -38,6 +38,14 @@ struct GridNetworkOptions {
   }
 };
 
+/// Algorithm 1's network placement charge: the serialized cost of staging
+/// k scenarios' inputs from home and collecting their results back, each
+/// batch fair-shared over one directed home link (latency + k * size / bw).
+/// Null without a network; exactly 0.0 over a free one. Keeps a reference
+/// to `options`, which must outlive the charge.
+[[nodiscard]] sched::PlacementCharge network_placement_charge(
+    const GridNetworkOptions& options);
+
 /// Campaign-realistic volumes from the appmodel accounting: one restart
 /// file staged in per scenario; NM months of compressed diagnostics plus
 /// the final restart collected out.
@@ -66,7 +74,10 @@ struct GridFaultOptions {
 };
 
 struct GridSimResult {
-  std::vector<sched::PerformanceVector> performance;  ///< one per cluster
+  /// One prefix per cluster: exactly entries 1..min(share + 1, NS) of its
+  /// performance vector — what Algorithm 1 read plus the lookahead
+  /// sched::is_locally_optimal needs.
+  std::vector<sched::PerformanceVector> performance;
   sched::Repartition repartition;
   std::vector<Seconds> cluster_makespans;  ///< 0 for clusters given no work
   Seconds makespan = 0.0;
@@ -83,12 +94,15 @@ struct GridSimResult {
   fault::FaultStats fault;
 };
 
-/// Full §5 flow in-process: (2) each cluster computes its performance vector
-/// under `heuristic`, (4) Algorithm 1 distributes the scenarios — charging
-/// each candidate cluster the serialized cost of staging/collecting its
-/// files when a network is attached, (6) each cluster's makespan is its
-/// staging delay + vector entry + collection time; the grid makespan is the
-/// max. Set `threads` > 1 to compute the per-cluster vectors concurrently.
+/// Full §5 flow in-process: (2) each cluster computes the performance-vector
+/// entries under `heuristic` that (4) Algorithm 1 pulls while it distributes
+/// the scenarios (sched::demand_repartition: the decisions of the full
+/// vectors, bit for bit) — charging each candidate cluster the serialized
+/// cost of staging/collecting its files when a network is attached, (6) each
+/// cluster's makespan is its staging delay + vector entry + collection time;
+/// the grid makespan is the max. Every batch of new entries, and the set of
+/// failure-injected runs, is one shared_pool() region of at most `threads`
+/// threads (0 = all cores, 1 = inline on the caller).
 ///
 /// With active `fault_options`, Algorithm 1 additionally charges each
 /// candidate its expected failure inflation, and every cluster with a live

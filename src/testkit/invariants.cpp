@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <utility>
 
 #include "common/rng.hpp"
+#include "fault/checkpoint.hpp"
 #include "fault/parser.hpp"
 #include "knapsack/knapsack.hpp"
 #include "net/parser.hpp"
@@ -22,6 +24,7 @@
 #include "service/service.hpp"
 #include "sim/eval_cache.hpp"
 #include "sim/grid_sim.hpp"
+#include "sim/perf_vector.hpp"
 
 namespace oagrid::testkit {
 namespace {
@@ -355,6 +358,77 @@ Verdict check_fault_work_conservation(const Case& world) {
   return std::nullopt;
 }
 
+// --- demand-driven vectors decide exactly as the full vectors ---------------
+
+/// simulate_grid (Algorithm 1 pulling its entries) against Algorithm 1 over
+/// full sim::performance_vector's with the same charges: same decision, and
+/// every entry it returns equal to the full vector's. `net` and `faults`
+/// may each be inactive.
+Verdict demand_matches_full(const Case& world,
+                            const sim::GridNetworkOptions& net,
+                            const sim::GridFaultOptions& faults,
+                            const char* label) {
+  const sim::GridSimResult lazy = sim::simulate_grid(
+      world.grid, world.ensemble, world.heuristic, 1, net, faults);
+  std::vector<sched::PerformanceVector> full;
+  for (int c = 0; c < world.grid.cluster_count(); ++c)
+    full.push_back(sim::performance_vector(world.grid.cluster(c),
+                                           world.ensemble.scenarios,
+                                           world.ensemble.months,
+                                           world.heuristic));
+  const sched::PlacementCharge net_charge = sim::network_placement_charge(net);
+  sched::PlacementCharge failure_charge;
+  if (faults.active() && faults.charge_placement)
+    failure_charge = fault::make_failure_charge(
+        faults.model, full, world.ensemble.months, faults.checkpoint_months);
+  const sched::Repartition ref = sched::greedy_repartition_charged(
+      full, world.ensemble.scenarios,
+      [&](std::size_t c, Count k) {
+        Seconds total = 0.0;
+        if (net_charge) total += net_charge(c, k);
+        if (failure_charge) total += failure_charge(c, k);
+        return total;
+      });
+  if (lazy.repartition.assignment != ref.assignment)
+    return fail(label, ": assignment differs from Algorithm 1 over full "
+                "vectors");
+  if (lazy.repartition.dags_per_cluster != ref.dags_per_cluster)
+    return fail(label, ": dags_per_cluster differs from full vectors");
+  if (lazy.repartition.makespan != ref.makespan)
+    return fail(label, ": repartition makespan ", lazy.repartition.makespan,
+                " != ", ref.makespan, " over full vectors");
+  for (std::size_t c = 0; c < full.size(); ++c) {
+    const Count share = ref.dags_per_cluster[c];
+    const auto length = static_cast<std::size_t>(
+        std::min(share + 1, world.ensemble.scenarios));
+    if (lazy.performance[c] !=
+        sched::PerformanceVector(full[c].begin(),
+                                 full[c].begin() + static_cast<long>(length)))
+      return fail(label, ": cluster ", c, " returned ",
+                  lazy.performance[c].size(),
+                  " entries that are not the full vector's first ", length);
+    // A cluster without a live failure process runs its vector entry.
+    const auto cid = static_cast<ClusterId>(c);
+    const bool injected = faults.active() && faults.model.cluster_active(cid);
+    if (share == 0 || injected) continue;
+    const Seconds expected =
+        lazy.staging_seconds[c] + full[c][static_cast<std::size_t>(share) - 1] +
+        lazy.collection_seconds[c];
+    if (lazy.cluster_makespans[c] != expected)
+      return fail(label, ": cluster ", c, " makespan ",
+                  lazy.cluster_makespans[c],
+                  " is not staging + full-vector entry + collection ",
+                  expected);
+  }
+  return std::nullopt;
+}
+
+Verdict check_demand_vector_identity(const Case& world) {
+  if (Verdict v = demand_matches_full(world, {}, {}, "bare")) return v;
+  return demand_matches_full(world, net_options_of(world),
+                             fault_options_of(world), "charged");
+}
+
 // --- repartition: greedy, charged-greedy and brute force agree ---------------
 
 Verdict check_repartition_consistency(const Case& world) {
@@ -605,6 +679,10 @@ const std::vector<Invariant>& all_invariants() {
        "greedy repartition is locally optimal, zero charges are identity, "
        "brute force never loses to it",
        check_repartition_consistency},
+      {"demand-vector-identity",
+       "simulate_grid's demand-driven prefixes decide exactly as Algorithm "
+       "1 over full performance vectors, with and without charges",
+       check_demand_vector_identity},
       {"crash-recovery",
        "a service killed at a random journal offset recovers to the "
        "uninterrupted run's state signature and journal bytes",

@@ -5,6 +5,7 @@
 #include "middleware/client.hpp"
 #include "middleware/master_agent.hpp"
 #include "platform/profiles.hpp"
+#include "sim/grid_sim.hpp"
 
 namespace oagrid::middleware {
 namespace {
@@ -85,6 +86,37 @@ TEST(LocalAgent, RoutesExecuteToTheOwningSubtree) {
   s1.stop();
 }
 
+TEST(LocalAgent, RoutesRangedPerfRequestToTheOwningSubtree) {
+  ServerDaemon s0(0, platform::make_builtin_cluster(0, 15));
+  ServerDaemon s1(1, platform::make_builtin_cluster(1, 15));
+  ServerDaemon s2(2, platform::make_builtin_cluster(2, 15));
+  LocalAgent left({&s0, &s1});
+  LocalAgent root({&left, &s2});
+
+  Mailbox<SedResponse> reply;
+  PerfRequest request;
+  request.request_id = 6;
+  request.scenarios = 4;
+  request.months = 3;
+  request.first = 2;
+  request.last = 3;
+  request.reply = &reply;
+  root.inbox().send(AgentMessage{AgentRoute{1, SedRequest{request}}});
+
+  const auto response = reply.receive();
+  ASSERT_TRUE(response.has_value());
+  const auto& perf = std::get<PerfResponse>(*response);
+  EXPECT_EQ(perf.cluster, 1);
+  EXPECT_EQ(perf.first, 2);
+  EXPECT_EQ(perf.performance.size(), 2u);
+  EXPECT_FALSE(reply.try_receive().has_value());  // nobody else answered
+  root.stop();
+  left.stop();
+  s0.stop();
+  s1.stop();
+  s2.stop();
+}
+
 TEST(HierarchicalAgent, TreeShapeMatchesBranching) {
   const auto grid = platform::make_builtin_grid(15);
   HierarchicalAgent binary(grid, 2);
@@ -129,6 +161,39 @@ TEST(HierarchicalAgent, CampaignMatchesFlatDeployment) {
             flat_result.repartition.dags_per_cluster);
   EXPECT_DOUBLE_EQ(tree_result.makespan, flat_result.makespan);
   EXPECT_EQ(tree_result.executions.size(), flat_result.executions.size());
+}
+
+TEST(HierarchicalAgent, PullMatchesFlatPullAndGridSim) {
+  // Steps 1-3 as a pull, routed hop by hop through the agent tree, land on
+  // the flat deployment's result and the in-process flow's, bit for bit:
+  // same prefixes, same assignment, same per-cluster makespans.
+  const auto grid = platform::make_builtin_grid(25);
+  const Ensemble ensemble{14, 8};
+  const auto heuristic = sched::Heuristic::kKnapsack;
+  const sim::GridSimResult direct =
+      sim::simulate_grid(grid, ensemble, heuristic);
+
+  MasterAgent flat(grid);
+  Client flat_client(flat);
+  const CampaignResult flat_result = flat_client.submit(ensemble, heuristic);
+  flat.shutdown();
+
+  HierarchicalAgent tree(grid, 2);
+  Client tree_client(tree);
+  const CampaignResult tree_result = tree_client.submit(ensemble, heuristic);
+  tree.shutdown();
+
+  for (const CampaignResult* result : {&flat_result, &tree_result}) {
+    EXPECT_EQ(result->performance, direct.performance);
+    EXPECT_EQ(result->repartition.assignment, direct.repartition.assignment);
+    EXPECT_EQ(result->repartition.dags_per_cluster,
+              direct.repartition.dags_per_cluster);
+    std::vector<Seconds> executed(direct.cluster_makespans.size(), 0.0);
+    for (const ExecuteResponse& exec : result->executions)
+      executed[static_cast<std::size_t>(exec.cluster)] = exec.makespan;
+    EXPECT_EQ(executed, direct.cluster_makespans);
+    EXPECT_EQ(result->makespan, direct.makespan);
+  }
 }
 
 TEST(HierarchicalAgent, SequentialCampaigns) {

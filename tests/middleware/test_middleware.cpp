@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "middleware/master_agent.hpp"
 #include "platform/profiles.hpp"
 #include "sim/grid_sim.hpp"
+#include "sim/perf_vector.hpp"
 
 namespace oagrid::middleware {
 namespace {
@@ -71,6 +73,31 @@ TEST(ServerDaemon, AnswersPerfRequest) {
   ASSERT_EQ(perf.performance.size(), 4u);
   for (std::size_t k = 1; k < 4; ++k)
     EXPECT_GE(perf.performance[k], perf.performance[k - 1]);
+  daemon.stop();
+}
+
+TEST(ServerDaemon, AnswersRangedPerfRequest) {
+  // A pulled range holds exactly those entries of the full vector.
+  const platform::Cluster cluster = platform::make_builtin_cluster(2, 30);
+  const sched::PerformanceVector full =
+      sim::performance_vector(cluster, 6, 5, sched::Heuristic::kKnapsack);
+  ServerDaemon daemon(4, cluster);
+  Mailbox<SedResponse> reply;
+  PerfRequest request;
+  request.request_id = 3;
+  request.scenarios = 6;
+  request.months = 5;
+  request.first = 3;
+  request.last = 5;
+  request.reply = &reply;
+  daemon.inbox().send(SedRequest{request});
+  const auto response = reply.receive();
+  ASSERT_TRUE(response.has_value());
+  const auto& perf = std::get<PerfResponse>(*response);
+  EXPECT_EQ(perf.cluster, 4);
+  EXPECT_EQ(perf.first, 3);
+  EXPECT_EQ(perf.performance,
+            sched::PerformanceVector(full.begin() + 2, full.begin() + 5));
   daemon.stop();
 }
 
@@ -182,6 +209,60 @@ TEST(Client, FullCampaignMatchesDirectSimulation) {
     EXPECT_GT(exec.scenarios_run, 0);
     EXPECT_EQ(exec.mains_executed, exec.scenarios_run * ensemble.months);
   }
+}
+
+TEST(Client, PullsExactlyTheEntriesAlgorithm1Reads) {
+  // Steps 1-3 are a pull: the result is the in-process flow's bit for bit —
+  // the same prefixes of the performance vectors, entries 1..min(share + 1,
+  // NS), not the full vectors.
+  const auto grid = platform::make_builtin_grid(30);
+  const Ensemble ensemble{12, 10};
+  const auto heuristic = sched::Heuristic::kKnapsack;
+  const sim::GridSimResult direct =
+      sim::simulate_grid(grid, ensemble, heuristic);
+
+  MasterAgent agent(grid);
+  Client client(agent);
+  const CampaignResult campaign = client.submit(ensemble, heuristic);
+  agent.shutdown();
+
+  EXPECT_EQ(campaign.performance, direct.performance);
+  EXPECT_EQ(campaign.repartition.assignment, direct.repartition.assignment);
+  EXPECT_EQ(campaign.makespan, direct.makespan);
+  for (std::size_t c = 0; c < campaign.performance.size(); ++c) {
+    const Count share = campaign.repartition.dags_per_cluster[c];
+    const sched::PerformanceVector full = sim::performance_vector(
+        grid.cluster(static_cast<ClusterId>(c)), ensemble.scenarios,
+        ensemble.months, heuristic);
+    EXPECT_EQ(campaign.performance[c],
+              sched::PerformanceVector(
+                  full.begin(),
+                  full.begin() + std::min(share + 1, ensemble.scenarios)))
+        << "cluster " << c;
+  }
+  EXPECT_TRUE(sched::is_locally_optimal(campaign.performance,
+                                        campaign.repartition));
+}
+
+TEST(MasterAgent, RoutesRangedPerfRequest) {
+  const auto grid = platform::make_builtin_grid(20).prefix(3);
+  MasterAgent agent(grid);
+  Mailbox<SedResponse> reply;
+  agent.send_perf_request(1, 8, 4, 6, 2, 4, sched::Heuristic::kBasic, reply);
+  const auto response = reply.receive();
+  ASSERT_TRUE(response.has_value());
+  const auto& perf = std::get<PerfResponse>(*response);
+  const sched::PerformanceVector full =
+      sim::performance_vector(grid.cluster(1), 4, 6, sched::Heuristic::kBasic);
+  EXPECT_EQ(perf.request_id, 8);
+  EXPECT_EQ(perf.cluster, 1);
+  EXPECT_EQ(perf.first, 2);
+  EXPECT_EQ(perf.performance,
+            sched::PerformanceVector(full.begin() + 1, full.end()));
+  EXPECT_THROW(agent.send_perf_request(3, 8, 4, 6, 1, 1,
+                                       sched::Heuristic::kBasic, reply),
+               std::invalid_argument);
+  agent.shutdown();
 }
 
 TEST(Client, SequentialCampaignsReuseTheFleet) {

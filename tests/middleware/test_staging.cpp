@@ -81,6 +81,15 @@ TEST(ClientStaging, RealNetworkAddsTransferTimeAndMatchesGridSim) {
   EXPECT_DOUBLE_EQ(staged.makespan, direct.makespan);
   EXPECT_DOUBLE_EQ(staged.transfer_mb, direct.transfer_mb);
   EXPECT_GT(staged.makespan, staged.campaign.makespan);  // transfers cost time
+  // Both pull their vectors through one charged Algorithm 1 and one network
+  // placement charge: the same prefixes and decisions, to the last bit.
+  EXPECT_EQ(staged.campaign.performance, direct.performance);
+  EXPECT_EQ(staged.campaign.repartition.assignment,
+            direct.repartition.assignment);
+  EXPECT_EQ(staged.campaign.repartition.makespan,
+            direct.repartition.makespan);
+  EXPECT_EQ(staged.makespan, direct.makespan);
+  EXPECT_EQ(staged.staging_seconds, direct.staging_seconds);
 }
 
 TEST(ClientStaging, CountsDeadlineMisses) {

@@ -59,6 +59,7 @@ void expect_valid_chrome_json(const std::string& text) {
 TEST(ObsIntegration, GridCampaignEmitsMetricsAndParseableTrace) {
   obs::set_enabled(true);
   obs::reset();
+  std::size_t prefix_entries = 0;
   {
     const platform::Grid grid = platform::make_builtin_grid(24).prefix(3);
     middleware::MasterAgent agent(grid);
@@ -66,6 +67,8 @@ TEST(ObsIntegration, GridCampaignEmitsMetricsAndParseableTrace) {
     const middleware::CampaignResult result =
         client.submit(appmodel::Ensemble{4, 12}, sched::Heuristic::kKnapsack);
     EXPECT_GT(result.makespan, 0.0);
+    for (const sched::PerformanceVector& prefix : result.performance)
+      prefix_entries += prefix.size();
   }  // SeD threads join here, flushing utilization gauges
 
   // Mailbox instrumentation saw traffic and produced a wait distribution.
@@ -85,6 +88,15 @@ TEST(ObsIntegration, GridCampaignEmitsMetricsAndParseableTrace) {
   const auto* sends = find("middleware.mailbox.sends");
   ASSERT_NE(sends, nullptr);
   EXPECT_GT(sends->value, 0.0);
+
+  // Steps 1-3 ran as targeted pulls, and every entry the client kept was
+  // computed by a daemon (over-delivered ones are counted too).
+  const auto* pulls = find("middleware.perf_pulls");
+  ASSERT_NE(pulls, nullptr);
+  EXPECT_GE(pulls->value, 3.0);  // at least one per cluster
+  const auto* entries = find("sim.perf_vector.entries");
+  ASSERT_NE(entries, nullptr);
+  EXPECT_GE(entries->value, static_cast<double>(prefix_entries));
 
   // Every cluster that executed scenarios reported a utilization in (0, 1].
   int utilization_gauges = 0;

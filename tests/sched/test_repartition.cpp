@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -321,6 +323,255 @@ TEST(Repartition, BruteForceAssignmentConsistent) {
   for (const ClusterId c : best.assignment)
     ++counted[static_cast<std::size_t>(c)];
   EXPECT_EQ(counted, best.dags_per_cluster);
+}
+
+// --- demand-driven Algorithm 1 ---------------------------------------------
+
+/// An extender serving prefixes out of full vectors, rounded up to whole
+/// chunks of `chunk` entries (clipped to the vector); adds the number of
+/// entries it served to *served.
+PrefixExtender serve_from(const std::vector<PerformanceVector>& full,
+                          std::size_t chunk, std::size_t* served = nullptr) {
+  return [&full, chunk, served](std::vector<PerformanceVector>& performance,
+                                std::span<const std::size_t> want) {
+    for (std::size_t c = 0; c < performance.size(); ++c) {
+      const std::size_t have = performance[c].size();
+      if (have >= want[c]) continue;
+      const std::size_t chunks = (want[c] - have + chunk - 1) / chunk;
+      const std::size_t target =
+          std::min(have + chunks * chunk, full[c].size());
+      performance[c].insert(performance[c].end(),
+                            full[c].begin() + static_cast<long>(have),
+                            full[c].begin() + static_cast<long>(target));
+      if (served != nullptr) *served += target - have;
+    }
+  };
+}
+
+/// demand_repartition from empty prefixes must reproduce the charged greedy
+/// over the full vectors bit for bit and leave exactly entries
+/// 1..min(share + 1, NS) of each vector behind.
+void expect_demand_matches_full(const std::vector<PerformanceVector>& full,
+                                Count ns, const PlacementCharge& charge,
+                                std::size_t chunk, const std::string& label) {
+  std::vector<PerformanceVector> prefixes(full.size());
+  const Repartition lazy =
+      demand_repartition(prefixes, ns, serve_from(full, chunk), charge);
+  const Repartition ref = greedy_repartition_charged(full, ns, charge);
+  EXPECT_EQ(lazy.assignment, ref.assignment) << label;
+  EXPECT_EQ(lazy.dags_per_cluster, ref.dags_per_cluster) << label;
+  EXPECT_EQ(lazy.makespan, ref.makespan) << label;
+  for (std::size_t c = 0; c < full.size(); ++c) {
+    const auto length =
+        static_cast<std::size_t>(std::min(ref.dags_per_cluster[c] + 1, ns));
+    const PerformanceVector expected(
+        full[c].begin(), full[c].begin() + static_cast<long>(length));
+    EXPECT_EQ(prefixes[c], expected) << label << " cluster " << c;
+  }
+  EXPECT_EQ(is_locally_optimal(prefixes, lazy), is_locally_optimal(full, ref))
+      << label;
+}
+
+/// Random vectors: non-decreasing steps drawn from [lo, hi) (negative lo
+/// allows non-monotone vectors), starting in [5, 50).
+std::vector<PerformanceVector> random_vectors(Rng& rng, int clusters, Count ns,
+                                              double lo, double hi) {
+  std::vector<PerformanceVector> perf(static_cast<std::size_t>(clusters));
+  for (auto& v : perf) {
+    Seconds t = rng.uniform(5.0, 50.0);
+    for (Count k = 0; k < ns; ++k) {
+      v.push_back(t);
+      t = std::max(1.0, t + rng.uniform(lo, hi));
+    }
+  }
+  return perf;
+}
+
+TEST(DemandRepartition, MatchesFullVectorsOnRandomMonotoneVectors) {
+  Rng rng(0x44454d44);  // "DEMD"
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(1, 8));
+    const Count ns = rng.uniform_int(1, 40);
+    const auto perf = random_vectors(rng, n, ns, 0.0, 20.0);
+    for (const std::size_t chunk : {1u, 3u, 7u})
+      expect_demand_matches_full(perf, ns, nullptr, chunk,
+                                 "trial " + std::to_string(trial) + " chunk " +
+                                     std::to_string(chunk));
+  }
+}
+
+TEST(DemandRepartition, MatchesFullVectorsUnderExactTies) {
+  // Plateaus of exactly equal doubles, within and across clusters: the lazy
+  // heap must break every tie exactly as the full-vector heap does.
+  Rng rng(0x54494532);  // "TIE2"
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(2, 6));
+    const Count ns = rng.uniform_int(2, 24);
+    std::vector<PerformanceVector> perf(static_cast<std::size_t>(n));
+    for (auto& v : perf) {
+      Seconds t = static_cast<double>(rng.uniform_int(1, 3));
+      for (Count k = 0; k < ns; ++k) {
+        v.push_back(t);
+        t += static_cast<double>(rng.uniform_int(0, 2));
+      }
+    }
+    expect_demand_matches_full(perf, ns, nullptr, 1,
+                               "trial " + std::to_string(trial));
+  }
+}
+
+TEST(DemandRepartition, MatchesFullVectorsOnNonMonotoneVectors) {
+  // The forecast assumes growth; vectors that dip must still come out
+  // exact. The brute-force optimum is the oracle the greedy may miss here.
+  Rng rng(0x4e4d4f4e);  // "NMON"
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(1, 3));
+    const Count ns = rng.uniform_int(1, 7);
+    const auto perf = random_vectors(rng, n, ns, -30.0, 20.0);
+    const std::string label = "trial " + std::to_string(trial);
+    expect_demand_matches_full(perf, ns, nullptr, 1, label);
+    std::vector<PerformanceVector> prefixes(perf.size());
+    const Repartition lazy =
+        demand_repartition(prefixes, ns, serve_from(perf, 2));
+    EXPECT_LE(brute_force_repartition(perf, ns).makespan, lazy.makespan)
+        << label;
+  }
+}
+
+TEST(DemandRepartition, PrefixLengthDoesNotDependOnChunkSize) {
+  // Extensions that land exactly on, one short of and one past a chunk
+  // boundary: whatever the extender over-delivers is dropped again.
+  const auto perf = linear_perf({10.0, 12.0, 15.0}, 24);
+  std::vector<PerformanceVector> reference(perf.size());
+  const Repartition ref =
+      demand_repartition(reference, 24, serve_from(perf, 1));
+  for (const std::size_t chunk : {2u, 4u, 5u, 6u, 8u, 9u, 24u, 100u}) {
+    std::vector<PerformanceVector> prefixes(perf.size());
+    const Repartition r =
+        demand_repartition(prefixes, 24, serve_from(perf, chunk));
+    EXPECT_EQ(r.assignment, ref.assignment) << "chunk " << chunk;
+    EXPECT_EQ(prefixes, reference) << "chunk " << chunk;
+  }
+}
+
+TEST(DemandRepartition, ClusterWithNoShareKeepsOneEntry) {
+  const auto perf = linear_perf({10.0, 10.0, 1000.0}, 6);
+  std::vector<PerformanceVector> prefixes(perf.size());
+  const Repartition r = demand_repartition(prefixes, 6, serve_from(perf, 1));
+  EXPECT_EQ(r.dags_per_cluster, (std::vector<Count>{3, 3, 0}));
+  EXPECT_EQ(prefixes[2], PerformanceVector{1000.0});
+  EXPECT_EQ(prefixes[0].size(), 4u);
+  EXPECT_EQ(prefixes[1].size(), 4u);
+}
+
+TEST(DemandRepartition, SingleScenario) {
+  const auto perf = linear_perf({10.0, 8.0, 9.0}, 1);
+  std::vector<PerformanceVector> prefixes(perf.size());
+  const Repartition r = demand_repartition(prefixes, 1, serve_from(perf, 1));
+  EXPECT_EQ(r.assignment, std::vector<ClusterId>{1});
+  EXPECT_EQ(r.makespan, 8.0);
+  EXPECT_EQ(prefixes, perf);  // min(share + 1, 1) = 1 entry each
+}
+
+TEST(DemandRepartition, OneClusterTakesEveryScenario) {
+  const auto perf = linear_perf({1.0, 500.0}, 9);
+  std::vector<PerformanceVector> prefixes(perf.size());
+  const Repartition r = demand_repartition(prefixes, 9, serve_from(perf, 1));
+  EXPECT_EQ(r.dags_per_cluster, (std::vector<Count>{9, 0}));
+  EXPECT_EQ(prefixes[0], perf[0]);  // all NS entries, never NS + 1
+  EXPECT_EQ(prefixes[1], PerformanceVector{500.0});
+  EXPECT_TRUE(is_locally_optimal(prefixes, r));
+}
+
+TEST(DemandRepartition, ChargedMatchesFullVectors) {
+  // A charge that reads the growing prefix — as fault::make_failure_charge
+  // does — plus a network-like one; the charge is never asked about an entry
+  // the prefix does not hold yet.
+  Rng rng(0x43484733);  // "CHG3"
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(2, 6));
+    const Count ns = rng.uniform_int(1, 30);
+    const auto perf = random_vectors(rng, n, ns, 0.0, 20.0);
+    const double rate = rng.uniform(0.0, 10.0);
+    std::vector<PerformanceVector> prefixes(perf.size());
+    const std::vector<PerformanceVector>* read = &perf;
+    const PlacementCharge charge = [&read, rate](std::size_t c, Count k) {
+      const PerformanceVector& v = (*read)[c];
+      EXPECT_LE(static_cast<std::size_t>(k), v.size());
+      return 0.1 * v[static_cast<std::size_t>(k) - 1] +
+             rate * static_cast<double>(c) * static_cast<double>(k);
+    };
+    const Repartition ref = greedy_repartition_charged(perf, ns, charge);
+    read = &prefixes;
+    const Repartition lazy =
+        demand_repartition(prefixes, ns, serve_from(perf, 1), charge);
+    EXPECT_EQ(lazy.assignment, ref.assignment) << "trial " << trial;
+    EXPECT_EQ(lazy.dags_per_cluster, ref.dags_per_cluster) << "trial " << trial;
+    EXPECT_EQ(lazy.makespan, ref.makespan) << "trial " << trial;
+    read = &perf;
+    expect_demand_matches_full(perf, ns, charge, 3,
+                               "chunked trial " + std::to_string(trial));
+  }
+}
+
+TEST(DemandRepartition, StartsFromAnyPrefix) {
+  // A prefix already longer than the need (even the full vector) is cut back
+  // to the contract length; a partial one is extended.
+  const auto perf = linear_perf({10.0, 11.0}, 10);
+  std::vector<PerformanceVector> fresh(perf.size());
+  const Repartition ref = demand_repartition(fresh, 10, serve_from(perf, 1));
+  std::vector<PerformanceVector> whole = perf;
+  std::vector<PerformanceVector> partial{{perf[0][0], perf[0][1]}, {}};
+  EXPECT_EQ(demand_repartition(whole, 10, serve_from(perf, 1)).assignment,
+            ref.assignment);
+  EXPECT_EQ(demand_repartition(partial, 10, serve_from(perf, 1)).assignment,
+            ref.assignment);
+  EXPECT_EQ(whole, fresh);
+  EXPECT_EQ(partial, fresh);
+}
+
+TEST(DemandRepartition, ServesFarFewerEntriesThanFullVectors) {
+  // Five near-linear clusters (a saturated cluster's makespan grows about
+  // linearly in k): the forecast keeps over-delivery to a few entries.
+  const Count ns = 120;
+  const auto perf = linear_perf({10.0, 10.5, 11.0, 12.0, 13.0}, ns);
+  std::size_t served = 0;
+  std::vector<PerformanceVector> prefixes(perf.size());
+  const Repartition r =
+      demand_repartition(prefixes, ns, serve_from(perf, 1, &served));
+  std::size_t needed = 0;
+  for (const PerformanceVector& v : prefixes) needed += v.size();
+  EXPECT_EQ(needed, static_cast<std::size_t>(ns) + perf.size());
+  EXPECT_LE(served, needed + perf.size());
+  EXPECT_EQ(r.assignment, greedy_repartition(perf, ns).assignment);
+}
+
+TEST(DemandRepartition, ValidationErrors) {
+  const auto perf = linear_perf({1.0, 2.0}, 3);
+  std::vector<PerformanceVector> none;
+  std::vector<PerformanceVector> prefixes(perf.size());
+  EXPECT_THROW((void)demand_repartition(none, 3, serve_from(perf, 1)),
+               std::invalid_argument);
+  EXPECT_THROW((void)demand_repartition(prefixes, 0, serve_from(perf, 1)),
+               std::invalid_argument);
+  EXPECT_THROW((void)demand_repartition(prefixes, 3, nullptr),
+               std::invalid_argument);
+  const PrefixExtender lazy_extender =
+      [](std::vector<PerformanceVector>&, std::span<const std::size_t>) {};
+  EXPECT_THROW((void)demand_repartition(prefixes, 3, lazy_extender),
+               std::invalid_argument);
+}
+
+TEST(Repartition, LocalOptimalityRejectsTooShortVectors) {
+  // A truncated vector would make every move into that cluster "impossible"
+  // and the check vacuous: it must refuse instead.
+  const auto perf = linear_perf({10.0, 10.0}, 6);
+  const Repartition r = greedy_repartition(perf, 6);  // 3 + 3
+  std::vector<PerformanceVector> cut = perf;
+  cut[1].resize(3);  // holds the share but not the share + 1 lookahead
+  EXPECT_THROW((void)is_locally_optimal(cut, r), std::invalid_argument);
+  cut[1] = std::vector<Seconds>(perf[1].begin(), perf[1].begin() + 4);
+  EXPECT_TRUE(is_locally_optimal(cut, r));
 }
 
 }  // namespace

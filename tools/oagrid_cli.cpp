@@ -662,7 +662,7 @@ int cmd_grid(const std::vector<std::string>& argv) {
               << ", checkpoint every " << fault_options.checkpoint_months
               << " month(s)\n\n";
     const sim::GridSimResult result = sim::simulate_grid(
-        grid, ensemble, heuristic, 1, net_options, fault_options);
+        grid, ensemble, heuristic, 0, net_options, fault_options);
 
     TableWriter table({"cluster", "procs", "scenarios", "makespan", "human"});
     for (ClusterId c = 0; c < grid.cluster_count(); ++c) {

@@ -1,31 +1,29 @@
 #pragma once
 /// \file parallel.hpp
-/// \brief Fork-join helpers for embarrassingly parallel parameter sweeps.
+/// \brief parallel_for over the process-wide shared_pool().
 ///
-/// The reproduction benches sweep thousands of (R, NS, cluster) cells; each
-/// cell is independent, so a static block decomposition over a small thread
-/// pool is the right tool (no work stealing needed — cells are near-uniform
-/// cost). Exceptions thrown by a cell are captured and rethrown on the
-/// calling thread, first-come wins.
+/// A forwarding shim, kept only because the end-to-end benchmark package
+/// (e2ebench/, which compiles the library sources directly) includes it.
+/// Library, tool, bench and example code calls shared_pool().parallel_for
+/// directly: the one parallelism mechanism is ThreadPool
+/// (common/thread_pool.hpp).
 
 #include <cstddef>
-#include <functional>
+#include <utility>
+
+#include "common/thread_pool.hpp"
 
 namespace oagrid {
 
-/// Number of workers parallel_for will use by default (hardware concurrency,
-/// at least 1).
-[[nodiscard]] std::size_t default_parallelism() noexcept;
-
-/// Runs body(i) for every i in [begin, end) across `threads` workers
-/// (0 = default_parallelism()). Blocks until all iterations finish. The body
-/// must be safe to call concurrently for distinct i. Falls back to a plain
-/// loop when the range is tiny or threads == 1 to keep tests deterministic
-/// in single-thread configurations. Nested use — a body that itself calls
-/// parallel_for (or a ThreadPool region) — runs the inner loop inline in
-/// index order instead of spawning a second tier of threads.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t threads = 0);
+/// Runs body(i) for every i in [begin, end) on shared_pool(), with at most
+/// `threads` participating threads (0 = all cores); blocks until every
+/// iteration finished. threads == 1 runs inline in index order; a call from
+/// inside a parallel region runs inline too. The first exception a body
+/// throws is rethrown here.
+template <typename Body>
+void parallel_for(std::size_t begin, std::size_t end, Body&& body,
+                  std::size_t threads = 0) {
+  shared_pool().parallel_for(begin, end, std::forward<Body>(body), threads);
+}
 
 }  // namespace oagrid

@@ -1,7 +1,5 @@
 #include "common/thread_pool.hpp"
 
-#include "common/parallel.hpp"
-
 namespace oagrid {
 
 namespace detail {
@@ -109,9 +107,13 @@ void ThreadPool::run_region(std::size_t begin, std::size_t end,
   }
 }
 
+std::size_t default_parallelism() noexcept {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
 ThreadPool& shared_pool() {
-  static ThreadPool pool(default_parallelism() > 0 ? default_parallelism() - 1
-                                                   : 0);
+  static ThreadPool pool(default_parallelism() - 1);
   return pool;
 }
 

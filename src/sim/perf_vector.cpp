@@ -1,7 +1,7 @@
 #include "sim/perf_vector.hpp"
 
 #include <algorithm>
-#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -13,15 +13,11 @@ namespace oagrid::sim {
 sched::PerformanceVector performance_vector(const platform::Cluster& cluster,
                                             Count max_scenarios, Count months,
                                             sched::Heuristic heuristic) {
-  // The k entries are independent simulations over the same cluster —
-  // cached and evaluated in parallel.
+  // The whole vector is one entry range: entries 1..NS, evaluated (cached,
+  // in parallel) through the same routine as demand-driven prefixes.
   const VectorSource source(cluster, max_scenarios, months, heuristic);
-  if (obs::enabled())
-    obs::metrics().counter("sim.perf_vector.entries").add(
-        static_cast<std::uint64_t>(max_scenarios));
-  return parallel_transform(
-      shared_pool(), static_cast<std::size_t>(max_scenarios),
-      [&](std::size_t i) { return source.entry(static_cast<Count>(i) + 1); });
+  const EntryRange all{0, 1, max_scenarios};
+  return std::move(evaluate_entries({&source, 1}, {&all, 1}).front());
 }
 
 VectorSource::VectorSource(const platform::Cluster& cluster, Count scenarios,

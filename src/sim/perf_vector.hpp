@@ -15,7 +15,8 @@
 namespace oagrid::sim {
 
 /// performance[k-1] = simulated makespan of k scenarios x `months` months on
-/// `cluster` under `heuristic`, for k = 1..max_scenarios.
+/// `cluster` under `heuristic`, for k = 1..max_scenarios: evaluate_entries
+/// over the single range 1..max_scenarios of one VectorSource.
 [[nodiscard]] sched::PerformanceVector performance_vector(
     const platform::Cluster& cluster, Count max_scenarios, Count months,
     sched::Heuristic heuristic);

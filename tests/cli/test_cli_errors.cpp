@@ -124,12 +124,32 @@ TEST(CliErrors, FailuresFileWithoutHeaderIsLineNumbered) {
       << result.output;
 }
 
-TEST(CliErrors, ConflictingFailureAndClusterOptions) {
-  const CliResult result =
-      run_cli("simulate --months 2 --clusters 3 --failures");
-  EXPECT_NE(result.exit_code, 0);
-  EXPECT_NE(result.output.find("not supported"), std::string::npos)
-      << result.output;
+TEST(CliErrors, NegativeCheckpointMonthsIsRejected) {
+  // Every subcommand that reads the cadence must refuse a negative one rather
+  // than silently fall back to 1 month or to Young/Daly.
+  for (const std::string command :
+       {"simulate --months 4 --failures", "grid --months 4 --failures",
+        "serve --campaigns alice:1x4 --clusters 1 --failures"}) {
+    const CliResult result = run_cli(command + " --checkpoint-months -5");
+    EXPECT_NE(result.exit_code, 0) << command;
+    EXPECT_NE(result.output.find("--checkpoint-months must be >= 0"),
+              std::string::npos)
+        << command << "\n"
+        << result.output;
+  }
+}
+
+TEST(CliErrors, SweepStepBelowOneIsRejected) {
+  // A non-positive step with --from <= --to never reaches --to: it must fail
+  // fast instead of growing the resource grid without bound.
+  for (const std::string step : {"0", "-3"}) {
+    const CliResult result =
+        run_cli("sweep --from 20 --to 36 --step " + step);
+    EXPECT_NE(result.exit_code, 0) << step;
+    EXPECT_NE(result.output.find("--step must be >= 1"), std::string::npos)
+        << step << "\n"
+        << result.output;
+  }
 }
 
 TEST(CliErrors, GoodPathsStillExitZero) {
@@ -138,10 +158,10 @@ TEST(CliErrors, GoodPathsStillExitZero) {
   const TempFile file("net-ok.txt",
                       "network 2\ninter_default 100 0.01\nintra_default 1000 "
                       "0.001\n");
-  EXPECT_EQ(run_cli("simulate --months 2 --clusters 2 --network=" +
-                    file.path())
-                .exit_code,
-            0);
+  EXPECT_EQ(
+      run_cli("grid --months 2 --clusters 2 --network=" + file.path())
+          .exit_code,
+      0);
 }
 
 }  // namespace

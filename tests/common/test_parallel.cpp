@@ -6,7 +6,10 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "common/thread_pool.hpp"
 
 namespace oagrid {
 namespace {
@@ -105,6 +108,26 @@ TEST(ParallelFor, NestedExceptionPropagatesThroughBothLevels) {
                               });
                             }),
                std::runtime_error);
+}
+
+TEST(ParallelFor, SingleThreadRunsOnCallerThroughNestedPoolRegions) {
+  // threads = 1 keeps every body on the calling thread, and a shared_pool()
+  // region opened inside one runs inline on that thread too: the contract
+  // e2ebench's grid-faulty traced pass (kThreads = 1) depends on.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> outer_on_caller{0};
+  std::atomic<int> inner_on_caller{0};
+  parallel_for(
+      0, 4,
+      [&](std::size_t) {
+        if (std::this_thread::get_id() == caller) ++outer_on_caller;
+        shared_pool().parallel_for(0, 16, [&](std::size_t) {
+          if (std::this_thread::get_id() == caller) ++inner_on_caller;
+        });
+      },
+      1);
+  EXPECT_EQ(outer_on_caller.load(), 4);
+  EXPECT_EQ(inner_on_caller.load(), 4 * 16);
 }
 
 TEST(DefaultParallelism, AtLeastOne) {

@@ -8,8 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
-
 namespace oagrid {
 namespace {
 

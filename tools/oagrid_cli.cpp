@@ -169,9 +169,13 @@ void add_fault_options(ArgParser& args) {
 }
 
 /// The failure model selected by --failures, sized to `clusters`, or nullopt
-/// when the flag is absent.
+/// when the flag is absent. Every subcommand declaring the fault options
+/// resolves them here, so this is also where --checkpoint-months is checked.
 std::optional<fault::FailureModel> fault_model_from(const ArgParser& args,
                                                     int clusters) {
+  if (args.get_int("checkpoint-months") < 0)
+    throw std::invalid_argument(
+        "--checkpoint-months must be >= 0 (0 = Young/Daly automatic)");
   if (!args.flag("failures")) return std::nullopt;
   const std::string file = args.get("failures");
   if (file.empty())
@@ -255,10 +259,9 @@ void add_common_workload(ArgParser& args) {
 }
 
 /// Submits one campaign through a deployed agent hierarchy and prints the
-/// per-cluster outcome (shared by `grid` and `simulate --clusters N`).
-/// --network routes through Client::submit_staged (data movement priced and
-/// shown); otherwise --step-timeout > 0 routes through the fault-tolerant
-/// submit_with_deadline.
+/// per-cluster outcome. --network routes through Client::submit_staged (data
+/// movement priced and shown); otherwise --step-timeout > 0 routes through
+/// the fault-tolerant submit_with_deadline.
 void run_grid_campaign(middleware::Deployment& deployment,
                        const platform::Grid& grid,
                        const appmodel::Ensemble& ensemble,
@@ -380,17 +383,9 @@ int cmd_simulate(const std::vector<std::string>& argv) {
       .add_option("seed", "perturbation seed", "1")
       .add_option("trace-csv", "write the execution trace to this file", "")
       .add_option("svg", "write an SVG Gantt chart to this file", "")
-      .add_option("clusters",
-                  "with N>1, run the campaign over N built-in clusters "
-                  "through the middleware (client/agent/SeD)",
-                  "1")
       .add_option("threads",
                   "worker cap for --optimize's parallel local search "
                   "(0 = all)",
-                  "0")
-      .add_option("step-timeout",
-                  "with --clusters N>1: per-protocol-step daemon deadline "
-                  "[wall ms, 0 = wait forever]",
                   "0")
       .add_flag("gantt", "print an ASCII Gantt chart")
       .add_flag("optimize", "refine the grouping with local search first");
@@ -402,26 +397,7 @@ int cmd_simulate(const std::vector<std::string>& argv) {
 
   const appmodel::Ensemble ensemble{args.get_int("scenarios"),
                                     args.get_int("months")};
-  if (const long long clusters = args.get_int("clusters"); clusters > 1) {
-    if (args.flag("failures"))
-      throw std::invalid_argument(
-          "--failures with --clusters N>1 is not supported here; use "
-          "`oagrid_cli grid --failures` for whole-grid failure injection");
-    const platform::Grid grid =
-        platform::make_builtin_grid(
-            static_cast<ProcCount>(args.get_int("resources")))
-            .prefix(static_cast<int>(clusters));
-    {
-      // Scoped so the SeD threads have joined (flushing per-SeD utilization
-      // gauges and trace events) before the exporters run.
-      middleware::MasterAgent agent(grid);
-      run_grid_campaign(agent, grid, ensemble,
-                        heuristic_from(args.get("heuristic")), args);
-    }
-    obs_session.finish();
-    return 0;
-  }
-
+  const auto failure_model = fault_model_from(args, 1);
   const platform::Cluster cluster = cluster_from(args);
   sched::GroupSchedule schedule = sched::make_schedule(
       heuristic_from(args.get("heuristic")), cluster, ensemble);
@@ -453,7 +429,6 @@ int cmd_simulate(const std::vector<std::string>& argv) {
     options.obs_trace = &obs::trace_buffer();
     options.obs_label = cluster.name();
   }
-  const auto failure_model = fault_model_from(args, 1);
   if (failure_model) {
     options.fault.model = &*failure_model;
     options.fault.cluster = 0;
@@ -730,9 +705,10 @@ int cmd_sweep(const std::vector<std::string>& argv) {
   if (const auto network = network_from(args, 1))
     sweep_options.restart_handoff =
         network->transfer_time(0, 0, appmodel::VolumeParams{}.restart_mb);
+  const long long step = args.get_int("step");
+  if (step < 1) throw std::invalid_argument("--step must be >= 1");
   std::vector<ProcCount> resource_grid;
-  for (long long r = args.get_int("from"); r <= args.get_int("to");
-       r += args.get_int("step"))
+  for (long long r = args.get_int("from"); r <= args.get_int("to"); r += step)
     resource_grid.push_back(static_cast<ProcCount>(r));
   const int profile = static_cast<int>(args.get_int("profile"));
   const auto failure_model = fault_model_from(args, 1);

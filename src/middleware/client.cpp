@@ -8,7 +8,6 @@
 
 #include "common/log.hpp"
 #include "middleware/mailbox.hpp"
-#include "net/fairshare.hpp"
 #include "obs/obs.hpp"
 
 namespace oagrid::middleware {
@@ -137,22 +136,7 @@ void execute_shares(Deployment& agent, const appmodel::Ensemble& ensemble,
 
 CampaignResult Client::submit(const appmodel::Ensemble& ensemble,
                               sched::Heuristic heuristic) {
-  ensemble.validate();
-  OAGRID_REQUIRE(agent_.daemon_count() >= 1, "no server daemon deployed");
-  const int request_id = next_request_id_++;
-  if (obs::enabled()) obs::metrics().counter("middleware.campaigns").add();
-  obs::Span campaign_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
-                          "campaign #" + std::to_string(request_id),
-                          "middleware");
-  CampaignResult result;
-  Mailbox<SedResponse> reply;
-  instrument_reply(reply);
-  pull_repartition(agent_, ensemble, heuristic, request_id, reply, nullptr,
-                   result);
-  execute_shares(agent_, ensemble, heuristic, request_id, reply, result);
-  OAGRID_INFO << "client: campaign finished, makespan " << result.makespan
-              << " s";
-  return result;
+  return submit_staged(ensemble, heuristic, {}).campaign;
 }
 
 Client::StagedCampaignResult Client::submit_staged(
@@ -160,90 +144,42 @@ Client::StagedCampaignResult Client::submit_staged(
     const StagingOptions& options) {
   ensemble.validate();
   OAGRID_REQUIRE(agent_.daemon_count() >= 1, "no server daemon deployed");
-  const auto n = static_cast<std::size_t>(agent_.daemon_count());
   const sim::GridNetworkOptions& data = options.data;
-  if (data.active()) {
-    OAGRID_REQUIRE(data.network.cluster_count() == agent_.daemon_count(),
-                   "network model does not cover the deployed clusters");
-    OAGRID_REQUIRE(data.home >= 0 && data.home < agent_.daemon_count(),
-                   "home cluster outside the deployment");
-    OAGRID_REQUIRE(data.stage_mb_per_scenario >= 0.0 &&
-                       data.collect_mb_per_scenario >= 0.0,
-                   "transfer volumes must be >= 0");
-  }
+  data.validate(agent_.daemon_count());
   OAGRID_REQUIRE(options.transfer_deadline > 0.0,
                  "transfer deadline must be positive");
   const int request_id = next_request_id_++;
   if (obs::enabled()) obs::metrics().counter("middleware.campaigns").add();
   obs::Span campaign_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
-                          "staged campaign #" + std::to_string(request_id),
+                          "campaign #" + std::to_string(request_id),
                           "middleware");
 
+  // Steps (1)-(6): the pulled, charged Algorithm 1, then the execution of
+  // each cluster's share.
   StagedCampaignResult result;
-  result.staging_seconds.assign(n, 0.0);
-  result.collection_seconds.assign(n, 0.0);
   CampaignResult& campaign = result.campaign;
-
-  // Steps (1)-(4): the pull of submit(), each candidate cluster charged the
-  // serialized cost of moving its files over the home links.
   Mailbox<SedResponse> reply;
   instrument_reply(reply);
+  const sim::GridFaultOptions failure_free;
   pull_repartition(agent_, ensemble, heuristic, request_id, reply,
-                   sim::network_placement_charge(data), campaign);
-
-  // Input staging: every scenario's restart/forcing files leave home at
-  // t = 0, fair-shared per link; a cluster may start only once its last
-  // input landed.
-  const auto count_misses = [&](const std::vector<net::TransferRequest>& reqs,
-                                const net::TransferPlan& plan) {
-    if (options.transfer_deadline == kInfiniteTime) return;
-    for (std::size_t i = 0; i < reqs.size(); ++i)
-      if (plan.results[i].finish - reqs[i].start > options.transfer_deadline)
-        ++result.deadline_misses;
-  };
-  if (data.active() && data.stage_mb_per_scenario > 0.0) {
-    std::vector<net::TransferRequest> staging;
-    for (std::size_t c = 0; c < n; ++c)
-      for (Count s = 0; s < campaign.repartition.dags_per_cluster[c]; ++s)
-        staging.push_back({data.home, static_cast<ClusterId>(c),
-                           data.stage_mb_per_scenario, 0.0});
-    const net::TransferPlan plan =
-        net::simulate_transfers(data.network, staging);
-    result.transfer_mb += plan.total_mb;
-    for (std::size_t i = 0; i < staging.size(); ++i) {
-      const auto c = static_cast<std::size_t>(staging[i].dst);
-      result.staging_seconds[c] =
-          std::max(result.staging_seconds[c], plan.results[i].finish);
-    }
-    count_misses(staging, plan);
-  }
-
-  // Steps (5)-(6): identical to submit(), over the charged repartition.
+                   sim::placement_charge(data, failure_free,
+                                         campaign.performance, ensemble.months),
+                   campaign);
   execute_shares(agent_, ensemble, heuristic, request_id, reply, campaign);
 
-  // Result collection: each cluster ships its archives home the moment its
-  // (staging-delayed) compute drains.
-  if (data.active() && data.collect_mb_per_scenario > 0.0) {
-    std::vector<net::TransferRequest> collection;
-    for (const ExecuteResponse& exec : campaign.executions) {
-      const auto c = static_cast<std::size_t>(exec.cluster);
-      const Seconds done = result.staging_seconds[c] + exec.makespan;
-      for (Count s = 0; s < campaign.repartition.dags_per_cluster[c]; ++s)
-        collection.push_back({exec.cluster, data.home,
-                              data.collect_mb_per_scenario, done});
-    }
-    const net::TransferPlan plan =
-        net::simulate_transfers(data.network, collection);
-    result.transfer_mb += plan.total_mb;
-    for (std::size_t i = 0; i < collection.size(); ++i) {
-      const auto c = static_cast<std::size_t>(collection[i].src);
-      result.collection_seconds[c] =
-          std::max(result.collection_seconds[c],
-                   plan.results[i].finish - collection[i].start);
-    }
-    count_misses(collection, plan);
-  }
-
+  // The data movement around steps 5-6: inputs staged before each cluster
+  // starts, results shipped home once its compute drains.
+  std::vector<Seconds> compute(campaign.repartition.dags_per_cluster.size(),
+                               0.0);
+  for (const ExecuteResponse& exec : campaign.executions)
+    compute[static_cast<std::size_t>(exec.cluster)] = exec.makespan;
+  sim::CampaignTransfers moved = sim::simulate_campaign_transfers(
+      data, campaign.repartition.dags_per_cluster, compute,
+      options.transfer_deadline);
+  result.staging_seconds = std::move(moved.staging_seconds);
+  result.collection_seconds = std::move(moved.collection_seconds);
+  result.transfer_mb = moved.transfer_mb;
+  result.deadline_misses = moved.deadline_misses;
   for (const ExecuteResponse& exec : campaign.executions) {
     const auto c = static_cast<std::size_t>(exec.cluster);
     result.makespan = std::max(result.makespan,
@@ -254,9 +190,8 @@ Client::StagedCampaignResult Client::submit_staged(
     OAGRID_WARN << "client: " << result.deadline_misses
                 << " transfer(s) exceeded the " << options.transfer_deadline
                 << " s deadline";
-  OAGRID_INFO << "client: staged campaign finished, makespan "
-              << result.makespan << " s (" << result.transfer_mb
-              << " MB moved)";
+  OAGRID_INFO << "client: campaign finished, makespan " << result.makespan
+              << " s (" << result.transfer_mb << " MB moved)";
   return result;
 }
 

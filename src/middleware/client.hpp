@@ -26,8 +26,9 @@ class Client {
   /// HierarchicalAgent tree; the protocol is identical.
   explicit Client(Deployment& agent) : agent_(agent) {}
 
-  /// Runs steps 1-6 synchronously and returns the aggregated result. Throws
-  /// if a daemon fails to answer (closed mailbox).
+  /// Runs steps 1-6 synchronously and returns the aggregated result:
+  /// submit_staged with no network attached. Throws if a daemon fails to
+  /// answer (closed mailbox).
   [[nodiscard]] CampaignResult submit(const appmodel::Ensemble& ensemble,
                                       sched::Heuristic heuristic);
 
@@ -64,11 +65,13 @@ class Client {
   };
 
   /// Steps 1-6 with data movement made explicit: step 4 runs the charged
-  /// Algorithm 1 (each candidate cluster pays its staging/collection over
-  /// `options.data.network`), inputs are staged before the execute
-  /// dispatch, and results ship home afterwards — all in simulated time via
-  /// the fair-share allocator. With no network attached (or a free one)
-  /// this degrades exactly to submit(): same repartition, same makespan.
+  /// Algorithm 1 (sim::placement_charge: each candidate cluster pays its
+  /// staging/collection over `options.data.network`), and the movement
+  /// around steps 5-6 is sim::simulate_campaign_transfers over the executed
+  /// shares — the same routines sim::simulate_grid runs, so both agree bit
+  /// for bit on every field they share. With no network attached (or a free
+  /// one) transfers cost exactly 0.0 and `makespan` equals
+  /// `campaign.makespan`.
   [[nodiscard]] StagedCampaignResult submit_staged(
       const appmodel::Ensemble& ensemble, sched::Heuristic heuristic,
       const StagingOptions& options);

@@ -21,8 +21,8 @@ Seconds batch_transfer_time(const net::NetworkModel& network, ClusterId src,
   return network.transfer_time(src, dst, static_cast<double>(k) * size_mb);
 }
 
-}  // namespace
-
+/// The network part of placement_charge: the serialized cost of staging k
+/// scenarios' inputs and collecting their results over the home links.
 sched::PlacementCharge network_placement_charge(
     const GridNetworkOptions& options) {
   if (!options.active()) return nullptr;
@@ -33,6 +33,80 @@ sched::PlacementCharge network_placement_charge(
            batch_transfer_time(options.network, dst, options.home, k,
                                options.collect_mb_per_scenario);
   };
+}
+
+}  // namespace
+
+void GridNetworkOptions::validate(int clusters) const {
+  if (!active()) return;
+  OAGRID_REQUIRE(network.cluster_count() == clusters,
+                 "network model does not cover the campaign's clusters");
+  OAGRID_REQUIRE(home >= 0 && home < clusters,
+                 "home cluster outside the campaign's clusters");
+  OAGRID_REQUIRE(stage_mb_per_scenario >= 0.0 && collect_mb_per_scenario >= 0.0,
+                 "transfer volumes must be >= 0");
+}
+
+sched::PlacementCharge placement_charge(
+    const GridNetworkOptions& net, const GridFaultOptions& faults,
+    std::span<const sched::PerformanceVector> performance, Count months) {
+  sched::PlacementCharge net_charge = network_placement_charge(net);
+  sched::PlacementCharge failure_charge;
+  if (faults.active() && faults.charge_placement)
+    failure_charge = fault::make_failure_charge(faults.model, performance,
+                                                months,
+                                                faults.checkpoint_months);
+  if (!net_charge && !failure_charge) return nullptr;
+  return [net_charge = std::move(net_charge),
+          failure_charge = std::move(failure_charge)](std::size_t c, Count k) {
+    Seconds total = 0.0;
+    if (net_charge) total += net_charge(c, k);
+    if (failure_charge) total += failure_charge(c, k);
+    return total;
+  };
+}
+
+CampaignTransfers simulate_campaign_transfers(
+    const GridNetworkOptions& net, std::span<const Count> shares,
+    std::span<const Seconds> compute, Seconds transfer_deadline) {
+  OAGRID_REQUIRE(compute.size() == shares.size(),
+                 "one compute time per cluster share");
+  const std::size_t n = shares.size();
+  CampaignTransfers out;
+  out.staging_seconds.assign(n, 0.0);
+  out.collection_seconds.assign(n, 0.0);
+  if (!net.active()) return out;
+
+  // One fair-shared batch per direction, k requests per cluster; a
+  // cluster's delay is its longest transfer. Collection reads the staging
+  // delays, so staging runs first.
+  const auto move = [&](bool collect, std::vector<Seconds>& seconds) {
+    const double size_mb =
+        collect ? net.collect_mb_per_scenario : net.stage_mb_per_scenario;
+    if (size_mb <= 0.0) return;
+    std::vector<net::TransferRequest> requests;
+    for (std::size_t c = 0; c < n; ++c) {
+      const auto cid = static_cast<ClusterId>(c);
+      const net::TransferRequest request =
+          collect ? net::TransferRequest{cid, net.home, size_mb,
+                                         out.staging_seconds[c] + compute[c]}
+                  : net::TransferRequest{net.home, cid, size_mb, 0.0};
+      requests.insert(requests.end(), static_cast<std::size_t>(shares[c]),
+                      request);
+    }
+    const net::TransferPlan plan = net::simulate_transfers(net.network, requests);
+    out.transfer_mb += plan.total_mb;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const Seconds took = plan.results[i].finish - requests[i].start;
+      Seconds& longest = seconds[static_cast<std::size_t>(
+          collect ? requests[i].src : requests[i].dst)];
+      longest = std::max(longest, took);
+      if (took > transfer_deadline) ++out.deadline_misses;
+    }
+  };
+  move(false, out.staging_seconds);
+  move(true, out.collection_seconds);
+  return out;
 }
 
 GridNetworkOptions campaign_network_options(
@@ -57,16 +131,7 @@ GridSimResult simulate_grid(const platform::Grid& grid,
                             const GridFaultOptions& fault_options) {
   ensemble.validate();
   OAGRID_REQUIRE(grid.cluster_count() >= 1, "grid needs at least one cluster");
-  if (net_options.active()) {
-    OAGRID_REQUIRE(net_options.network.cluster_count() == grid.cluster_count(),
-                   "network model does not cover the grid's clusters");
-    OAGRID_REQUIRE(
-        net_options.home >= 0 && net_options.home < grid.cluster_count(),
-        "home cluster outside the grid");
-    OAGRID_REQUIRE(net_options.stage_mb_per_scenario >= 0.0 &&
-                       net_options.collect_mb_per_scenario >= 0.0,
-                   "transfer volumes must be >= 0");
-  }
+  net_options.validate(grid.cluster_count());
   if (fault_options.active()) {
     OAGRID_REQUIRE(
         fault_options.model.cluster_count() == grid.cluster_count(),
@@ -108,33 +173,14 @@ GridSimResult simulate_grid(const platform::Grid& grid,
   if (observed)
     obs::metrics().counter("sim.grid_campaigns").add();
 
+  // Algorithm 1 over the growing prefixes, each candidate charged its data
+  // movement and expected failure inflation where those apply.
   GridSimResult result;
   result.performance.resize(n);
-  result.staging_seconds.assign(n, 0.0);
-  result.collection_seconds.assign(n, 0.0);
-
-  // Algorithm 1, with each candidate cluster charged the serialized cost of
-  // moving its k scenarios' files over the home link (when a network is
-  // attached) plus its expected failure inflation (when a failure model is),
-  // read off the same growing prefixes. Both charges absent -> the paper's
-  // uncharged greedy, bit for bit (0.0 + x == x keeps a lone charge exact).
-  const sched::PlacementCharge net_charge =
-      network_placement_charge(net_options);
-  sched::PlacementCharge failure_charge;
-  if (fault_options.active() && fault_options.charge_placement)
-    failure_charge = fault::make_failure_charge(
-        fault_options.model, result.performance, ensemble.months,
-        fault_options.checkpoint_months);
-  sched::PlacementCharge charge;
-  if (net_charge || failure_charge)
-    charge = [&net_charge, &failure_charge](std::size_t c, Count k) {
-      Seconds total = 0.0;
-      if (net_charge) total += net_charge(c, k);
-      if (failure_charge) total += failure_charge(c, k);
-      return total;
-    };
   result.repartition = sched::demand_repartition(
-      result.performance, ensemble.scenarios, extend, charge);
+      result.performance, ensemble.scenarios, extend,
+      placement_charge(net_options, fault_options, result.performance,
+                       ensemble.months));
 
   // Per-cluster compute times: the clean performance-vector entry, replaced
   // by a failure-injected DES run wherever the cluster can actually fail
@@ -176,52 +222,12 @@ GridSimResult simulate_grid(const platform::Grid& grid,
     for (const fault::FaultStats& s : stats) result.fault.merge(s);
   }
 
-  if (net_options.active()) {
-    // Execute the movement the decision priced: all staging transfers enter
-    // the network at t = 0 (fair-shared per home link), and each cluster's
-    // results ship home the moment its compute drains.
-    std::vector<net::TransferRequest> staging;
-    std::vector<net::TransferRequest> collection;
-    for (std::size_t c = 0; c < n; ++c) {
-      const Count k = result.repartition.dags_per_cluster[c];
-      if (k <= 0) continue;
-      const auto dst = static_cast<ClusterId>(c);
-      const Seconds staged = batch_transfer_time(
-          net_options.network, net_options.home, dst, k,
-          net_options.stage_mb_per_scenario);
-      for (Count s = 0; s < k; ++s) {
-        if (net_options.stage_mb_per_scenario > 0.0)
-          staging.push_back({net_options.home, dst,
-                             net_options.stage_mb_per_scenario, 0.0});
-        if (net_options.collect_mb_per_scenario > 0.0)
-          collection.push_back({dst, net_options.home,
-                                net_options.collect_mb_per_scenario,
-                                staged + compute[c]});
-      }
-    }
-    const net::TransferPlan staged_plan =
-        net::simulate_transfers(net_options.network, staging);
-    const net::TransferPlan collected_plan =
-        net::simulate_transfers(net_options.network, collection);
-    result.transfer_mb = staged_plan.total_mb + collected_plan.total_mb;
-    // Per-cluster staging delay / collection tail off the simulated plans.
-    std::size_t si = 0, ci = 0;
-    for (std::size_t c = 0; c < n; ++c) {
-      const Count k = result.repartition.dags_per_cluster[c];
-      if (k <= 0) continue;
-      for (Count s = 0; s < k; ++s) {
-        if (net_options.stage_mb_per_scenario > 0.0)
-          result.staging_seconds[c] = std::max(
-              result.staging_seconds[c], staged_plan.results[si++].finish);
-        if (net_options.collect_mb_per_scenario > 0.0)
-          result.collection_seconds[c] =
-              std::max(result.collection_seconds[c],
-                       collected_plan.results[ci++].finish -
-                           (result.staging_seconds[c] + compute[c]));
-      }
-      result.collection_seconds[c] = std::max(result.collection_seconds[c], 0.0);
-    }
-  }
+  // Execute the movement the decision priced.
+  CampaignTransfers moved = simulate_campaign_transfers(
+      net_options, result.repartition.dags_per_cluster, compute);
+  result.staging_seconds = std::move(moved.staging_seconds);
+  result.collection_seconds = std::move(moved.collection_seconds);
+  result.transfer_mb = moved.transfer_mb;
 
   result.cluster_makespans.assign(n, 0.0);
   for (std::size_t c = 0; c < n; ++c) {

@@ -4,6 +4,9 @@
 /// repartition, per-cluster simulation (§5-6 of the paper), optionally
 /// priced over a network model (deployment staging in, result shipping out).
 
+#include <span>
+#include <vector>
+
 #include "appmodel/ensemble.hpp"
 #include "appmodel/volumes.hpp"
 #include "fault/failure.hpp"
@@ -36,15 +39,12 @@ struct GridNetworkOptions {
   [[nodiscard]] bool active() const noexcept {
     return network.cluster_count() > 0;
   }
-};
 
-/// Algorithm 1's network placement charge: the serialized cost of staging
-/// k scenarios' inputs from home and collecting their results back, each
-/// batch fair-shared over one directed home link (latency + k * size / bw).
-/// Null without a network; exactly 0.0 over a free one. Keeps a reference
-/// to `options`, which must outlive the charge.
-[[nodiscard]] sched::PlacementCharge network_placement_charge(
-    const GridNetworkOptions& options);
+  /// When active: throws std::invalid_argument unless the network covers
+  /// exactly `clusters` clusters, `home` is one of them and both volumes
+  /// are >= 0. An inactive model always passes.
+  void validate(int clusters) const;
+};
 
 /// Campaign-realistic volumes from the appmodel accounting: one restart
 /// file staged in per scenario; NM months of compressed diagnostics plus
@@ -72,6 +72,40 @@ struct GridFaultOptions {
 
   [[nodiscard]] bool active() const noexcept { return model.active(); }
 };
+
+/// Algorithm 1's placement charge for a campaign, the one place where its
+/// parts are summed: the serialized cost of staging k scenarios' inputs
+/// from home and collecting their results back, each batch fair-shared over
+/// one directed home link (latency + k * size / bw), when `net` is active;
+/// plus the expected failure inflation (fault::make_failure_charge over
+/// `performance`) when `faults` is active and charges placement. Null when
+/// neither applies, so Algorithm 1 stays the paper's uncharged greedy; a
+/// lone part is exact (0.0 + x == x). Keeps references to `net`, `faults`
+/// and `performance`, which must outlive the charge; `performance` may grow
+/// while the charge is in use, as demand_repartition's prefixes do.
+[[nodiscard]] sched::PlacementCharge placement_charge(
+    const GridNetworkOptions& net, const GridFaultOptions& faults,
+    std::span<const sched::PerformanceVector> performance, Count months);
+
+/// The data movement of one executed campaign.
+struct CampaignTransfers {
+  std::vector<Seconds> staging_seconds;     ///< per cluster, fair-shared
+  std::vector<Seconds> collection_seconds;  ///< per cluster, fair-shared
+  double transfer_mb = 0.0;                 ///< total bytes moved
+  int deadline_misses = 0;  ///< transfers longer than the deadline
+};
+
+/// Executes the movement Algorithm 1 priced, under net::simulate_transfers'
+/// per-link fair sharing: every scenario's inputs leave home at t = 0, and
+/// cluster c's results ship home at its simulated staging finish plus
+/// compute[c] (its last input landed, then its share ran). Clusters with a
+/// share of 0 move nothing. Without a network every duration is 0 and
+/// nothing is simulated; over a free one every duration is exactly 0.0.
+/// `shares` and `compute` are per cluster and of equal length.
+[[nodiscard]] CampaignTransfers simulate_campaign_transfers(
+    const GridNetworkOptions& net, std::span<const Count> shares,
+    std::span<const Seconds> compute,
+    Seconds transfer_deadline = kInfiniteTime);
 
 struct GridSimResult {
   /// One prefix per cluster: exactly entries 1..min(share + 1, NS) of its

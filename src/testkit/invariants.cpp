@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "common/rng.hpp"
-#include "fault/checkpoint.hpp"
 #include "fault/parser.hpp"
 #include "knapsack/knapsack.hpp"
 #include "net/parser.hpp"
@@ -376,19 +375,9 @@ Verdict demand_matches_full(const Case& world,
                                            world.ensemble.scenarios,
                                            world.ensemble.months,
                                            world.heuristic));
-  const sched::PlacementCharge net_charge = sim::network_placement_charge(net);
-  sched::PlacementCharge failure_charge;
-  if (faults.active() && faults.charge_placement)
-    failure_charge = fault::make_failure_charge(
-        faults.model, full, world.ensemble.months, faults.checkpoint_months);
   const sched::Repartition ref = sched::greedy_repartition_charged(
       full, world.ensemble.scenarios,
-      [&](std::size_t c, Count k) {
-        Seconds total = 0.0;
-        if (net_charge) total += net_charge(c, k);
-        if (failure_charge) total += failure_charge(c, k);
-        return total;
-      });
+      sim::placement_charge(net, faults, full, world.ensemble.months));
   if (lazy.repartition.assignment != ref.assignment)
     return fail(label, ": assignment differs from Algorithm 1 over full "
                 "vectors");

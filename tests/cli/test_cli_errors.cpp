@@ -79,6 +79,29 @@ TEST(CliErrors, MissingValueExitsNonZero) {
   EXPECT_NE(result.output.find("months"), std::string::npos) << result.output;
 }
 
+TEST(CliErrors, OversizedSweepFailsFastAndNamesTheRowCount) {
+  const CliResult result = run_cli("sweep --from 20 --to 2000000000 --step 1");
+  EXPECT_NE(result.exit_code, 0);
+  EXPECT_NE(result.output.find("1999999981 rows"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("bad_alloc"), std::string::npos)
+      << result.output;
+}
+
+TEST(CliErrors, SweepFromBelowOneIsRejected) {
+  const CliResult result = run_cli("sweep --from 0 --to 36 --step 8");
+  EXPECT_NE(result.exit_code, 0);
+  EXPECT_NE(result.output.find("--from must be >= 1"), std::string::npos)
+      << result.output;
+}
+
+TEST(CliErrors, SweepToAboveTheProcessorLimitIsRejected) {
+  const CliResult result = run_cli("sweep --from 20 --to 3000000000");
+  EXPECT_NE(result.exit_code, 0);
+  EXPECT_NE(result.output.find("--to must be <="), std::string::npos)
+      << result.output;
+}
+
 TEST(CliErrors, MalformedNetworkFileIsLineNumbered) {
   const TempFile file("net.txt", "network 2\nbogus 1 2\n");
   const CliResult result =

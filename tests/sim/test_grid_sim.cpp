@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "net/fairshare.hpp"
 #include "platform/profiles.hpp"
 #include "sim/perf_vector.hpp"
 
@@ -173,6 +177,50 @@ TEST(GridSimNetwork, RejectsMismatchedClusterCount) {
   EXPECT_THROW((void)simulate_grid(grid, Ensemble{4, 6},
                                    sched::Heuristic::kBasic, 1, options),
                std::invalid_argument);
+}
+
+TEST(CampaignTransfers, CollectionLeavesAtSimulatedStagingFinishPlusCompute) {
+  // Home 0 ships 3 x 120 MB to cluster 1 over a zero-latency 12.5 MB/s link.
+  GridNetworkOptions options;
+  options.network = net::NetworkModel(2);
+  options.network.set_link(0, 1, net::LinkSpec{12.5, 0.0});
+  options.stage_mb_per_scenario = 120.0;
+  options.collect_mb_per_scenario = 120.0;
+  const std::vector<Count> shares = {0, 3};
+  const std::vector<Seconds> compute = {0.0, 1000.0};
+
+  const CampaignTransfers moved =
+      simulate_campaign_transfers(options, shares, compute);
+
+  const std::vector<net::TransferRequest> staging(3, {0, 1, 120.0, 0.0});
+  const net::TransferPlan staged =
+      net::simulate_transfers(options.network, staging);
+  Seconds staging_finish = 0.0;
+  for (const net::TransferResult& r : staged.results)
+    staging_finish = std::max(staging_finish, r.finish);
+  const Seconds release = staging_finish + compute[1];
+  const std::vector<net::TransferRequest> collection(3,
+                                                     {1, 0, 120.0, release});
+  const net::TransferPlan collected =
+      net::simulate_transfers(options.network, collection);
+  Seconds collection_tail = 0.0;
+  for (const net::TransferResult& r : collected.results)
+    collection_tail = std::max(collection_tail, r.finish - release);
+
+  EXPECT_EQ(moved.staging_seconds, (std::vector<Seconds>{0.0, staging_finish}));
+  EXPECT_EQ(moved.collection_seconds,
+            (std::vector<Seconds>{0.0, collection_tail}));
+  EXPECT_EQ(moved.transfer_mb, staged.total_mb + collected.total_mb);
+  EXPECT_EQ(moved.deadline_misses, 0);
+  // The release is the simulated staging finish, not the analytic batch
+  // time latency + k * size / bw, which here differs in the last bit.
+  EXPECT_NE(staging_finish, options.network.transfer_time(0, 1, 360.0));
+
+  // Every 28.8 s transfer overruns a 10 s deadline; the timing does not move.
+  const CampaignTransfers tight =
+      simulate_campaign_transfers(options, shares, compute, 10.0);
+  EXPECT_EQ(tight.deadline_misses, 6);
+  EXPECT_EQ(tight.collection_seconds, moved.collection_seconds);
 }
 
 TEST(GridSimNetwork, SlowNetworkConcentratesLoadAtHome) {

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "appmodel/month.hpp"
@@ -705,10 +706,25 @@ int cmd_sweep(const std::vector<std::string>& argv) {
   if (const auto network = network_from(args, 1))
     sweep_options.restart_handoff =
         network->transfer_time(0, 0, appmodel::VolumeParams{}.restart_mb);
+  // Size the range before building it: a mistyped --to must fail at once,
+  // not after allocating gigabytes (Figure 8 needs 26 rows).
+  const long long from = args.get_int("from");
+  const long long to = args.get_int("to");
   const long long step = args.get_int("step");
   if (step < 1) throw std::invalid_argument("--step must be >= 1");
+  if (from < 1) throw std::invalid_argument("--from must be >= 1");
+  constexpr long long kMaxProcs = std::numeric_limits<ProcCount>::max();
+  if (to > kMaxProcs)
+    throw std::invalid_argument("--to must be <= " + std::to_string(kMaxProcs));
+  constexpr long long kMaxSweepRows = 100000;
+  const long long rows = to < from ? 0 : (to - from) / step + 1;
+  if (rows > kMaxSweepRows)
+    throw std::invalid_argument(
+        "--from/--to/--step give " + std::to_string(rows) +
+        " rows; a sweep has at most " + std::to_string(kMaxSweepRows));
   std::vector<ProcCount> resource_grid;
-  for (long long r = args.get_int("from"); r <= args.get_int("to"); r += step)
+  resource_grid.reserve(static_cast<std::size_t>(rows));
+  for (long long r = from; r <= to; r += step)
     resource_grid.push_back(static_cast<ProcCount>(r));
   const int profile = static_cast<int>(args.get_int("profile"));
   const auto failure_model = fault_model_from(args, 1);

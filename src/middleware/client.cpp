@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/log.hpp"
 #include "middleware/mailbox.hpp"
@@ -14,114 +18,227 @@ namespace oagrid::middleware {
 
 namespace {
 
-/// Attaches the client-side reply mailbox to the fleet-wide metrics (the
-/// "downstream" direction of the Figure 9 protocol). No-op when
-/// observability is off.
-void instrument_reply(Mailbox<SedResponse>& reply) {
-  if (!obs::enabled()) return;
-  QueueProbe probe;
-  probe.depth_on_send = &obs::metrics().histogram("middleware.reply.depth");
-  probe.wait_us = &obs::metrics().histogram("middleware.reply.wait_us");
-  probe.sends = &obs::metrics().counter("middleware.reply.sends");
-  reply.instrument(probe);
-}
+/// Thrown by the pull extender when a round's replies miss the step
+/// deadline.
+struct PullRoundMissed {};
 
-/// Steps (1)-(4) as a pull: Algorithm 1 runs on the client and asks the
+/// The client's reply mailbox for one campaign and the step deadline its
+/// receives wait for. When the campaign fails, the replies healthy daemons
+/// still owe it are collected before the mailbox goes (up to the deadline
+/// when one is set), so that they do not send into a freed mailbox. A
+/// campaign that returns owes only replies that already missed a deadline.
+class Replies {
+ public:
+  explicit Replies(std::optional<std::chrono::milliseconds> step_timeout)
+      : step_timeout_(step_timeout) {
+    if (!obs::enabled()) return;
+    // The "downstream" direction of the Figure 9 protocol, fleet-wide.
+    QueueProbe probe;
+    probe.depth_on_send = &obs::metrics().histogram("middleware.reply.depth");
+    probe.wait_us = &obs::metrics().histogram("middleware.reply.wait_us");
+    probe.sends = &obs::metrics().counter("middleware.reply.sends");
+    mailbox_.instrument(probe);
+  }
+  ~Replies() {
+    if (std::uncaught_exceptions() > unwinding_)
+      while (in_flight_ > 0 && receive()) {
+      }
+  }
+  Replies(const Replies&) = delete;
+  Replies& operator=(const Replies&) = delete;
+
+  /// The mailbox to send one more request's reply to.
+  Mailbox<SedResponse>& expect() {
+    ++in_flight_;
+    return mailbox_;
+  }
+
+  /// Starts a protocol step's deadline.
+  void arm() {
+    if (step_timeout_)
+      deadline_ = std::chrono::steady_clock::now() + *step_timeout_;
+  }
+
+  /// The next message; std::nullopt once the step deadline passed. Never
+  /// std::nullopt without a deadline: no one closes the mailbox.
+  std::optional<SedResponse> receive() {
+    std::optional<SedResponse> response;
+    if (!step_timeout_) {
+      response = mailbox_.receive();
+    } else if (const auto budget = std::chrono::ceil<std::chrono::milliseconds>(
+                   deadline_ - std::chrono::steady_clock::now());
+               budget.count() > 0) {
+      response = mailbox_.receive_for(budget);
+    }
+    if (response) --in_flight_;
+    return response;
+  }
+
+ private:
+  std::optional<std::chrono::milliseconds> step_timeout_;
+  std::chrono::steady_clock::time_point deadline_{};
+  int in_flight_ = 0;  // requests sent and not yet answered
+  int unwinding_ = std::uncaught_exceptions();
+  Mailbox<SedResponse> mailbox_;
+};
+
+/// Steps (1)-(6) of one campaign: the one driver behind submit,
+/// submit_staged and submit_with_deadline. Returns the cluster ids of the
+/// daemons kept in the campaign; `result` is indexed the same way.
+///
+/// Steps (1)-(4) are a pull: Algorithm 1 runs on the client and asks the
 /// daemons for exactly the performance-vector entries it reads — ranged
 /// requests, batched across clusters by sched::demand_repartition — so
 /// result.performance ends up holding entries 1..min(share + 1, NS) per
 /// cluster and result.repartition is the full vectors' decision, bit for
 /// bit. The time spent waiting on pulls is recorded as step1_3, the rest as
-/// step4.
-void pull_repartition(Deployment& agent, const appmodel::Ensemble& ensemble,
-                      sched::Heuristic heuristic, int request_id,
-                      Mailbox<SedResponse>& reply,
-                      const sched::PlacementCharge& charge,
-                      CampaignResult& result) {
-  const bool observed = obs::enabled();
-  const obs::Clock& clock = obs::WallClock::instance();
-  obs::Span span(observed ? &obs::trace_buffer() : nullptr,
-                 "steps 1-4: pulled perf vectors + Algorithm 1", "middleware");
-  const double start_us = observed ? clock.now_us() : 0.0;
-  double pull_us = 0.0;
-  int pulls = 0;
-  const sched::PrefixExtender pull =
-      [&](std::vector<sched::PerformanceVector>& performance,
-          std::span<const std::size_t> want) {
-        const double pull_start_us = observed ? clock.now_us() : 0.0;
-        int outstanding = 0;
-        for (std::size_t c = 0; c < performance.size(); ++c) {
-          if (performance[c].size() >= want[c]) continue;
-          agent.send_perf_request(
-              static_cast<ClusterId>(c), request_id, ensemble.scenarios,
-              ensemble.months, static_cast<Count>(performance[c].size()) + 1,
-              static_cast<Count>(want[c]), heuristic, reply);
-          ++outstanding;
-        }
-        for (int received = 0; received < outstanding; ++received) {
-          std::optional<SedResponse> response = reply.receive();
-          if (!response)
-            throw std::runtime_error(
-                "oagrid: SeD channel closed during step 3");
-          const auto* perf = std::get_if<PerfResponse>(&*response);
-          if (perf == nullptr || perf->request_id != request_id ||
-              perf->cluster < 0 ||
-              static_cast<std::size_t>(perf->cluster) >= performance.size())
-            throw std::runtime_error(
-                "oagrid: unexpected response during step 3");
-          sched::PerformanceVector& prefix =
-              performance[static_cast<std::size_t>(perf->cluster)];
-          if (perf->first != static_cast<Count>(prefix.size()) + 1)
-            throw std::runtime_error(
-                "oagrid: performance entries out of order during step 3");
-          prefix.insert(prefix.end(), perf->performance.begin(),
-                        perf->performance.end());
-        }
-        pulls += outstanding;
-        if (observed) pull_us += clock.now_us() - pull_start_us;
-      };
-  result.performance.assign(static_cast<std::size_t>(agent.daemon_count()),
-                            {});
-  result.repartition = sched::demand_repartition(
-      result.performance, ensemble.scenarios, pull, charge);
-  if (observed) {
-    obs::metrics().counter("middleware.perf_pulls").add(
-        static_cast<std::uint64_t>(pulls));
-    obs::metrics().histogram("middleware.step1_3_us").record(pull_us);
-    obs::metrics()
-        .histogram("middleware.step4_us")
-        .record(clock.now_us() - start_us - pull_us);
-  }
-  OAGRID_INFO << "client: steps 1-4 complete, " << pulls
-              << " performance request(s) pulled";
-}
-
-/// Steps (5)-(6): dispatch each cluster's share (clusters with zero
+/// step4. Steps (5)-(6) dispatch each cluster's share (clusters with zero
 /// scenarios are not contacted, as in the paper's flow), then collect the
-/// execution reports, sorted by cluster.
-void execute_shares(Deployment& agent, const appmodel::Ensemble& ensemble,
-                    sched::Heuristic heuristic, int request_id,
-                    Mailbox<SedResponse>& reply, CampaignResult& result) {
+/// execution reports, sorted by cluster. With a step timeout, daemons are
+/// dropped as Client::submit_with_deadline describes. Only such a run drops
+/// daemons, and it runs uncharged, so `charge` always indexes the whole
+/// fleet.
+std::vector<ClusterId> run_campaign(
+    Deployment& agent, const appmodel::Ensemble& ensemble,
+    sched::Heuristic heuristic, int request_id,
+    const sched::PlacementCharge& charge,
+    std::optional<std::chrono::milliseconds> step_timeout,
+    CampaignResult& result) {
+  const bool observed = obs::enabled();
+  if (observed) obs::metrics().counter("middleware.campaigns").add();
+  obs::Span campaign_span(observed ? &obs::trace_buffer() : nullptr,
+                          "campaign #" + std::to_string(request_id),
+                          "middleware");
+  Replies replies(step_timeout);
+  std::vector<ClusterId> kept(static_cast<std::size_t>(agent.daemon_count()));
+  std::iota(kept.begin(), kept.end(), 0);
+  // Campaign index of a kept daemon; kept.size() once it is dropped.
+  const auto index_of = [&](ClusterId cluster) {
+    return static_cast<std::size_t>(
+        std::find(kept.begin(), kept.end(), cluster) - kept.begin());
+  };
+  // The next reply of this campaign; std::nullopt once the step deadline
+  // passed. Late replies of dropped daemons are skipped; an ErrorResponse
+  // fails the campaign, naming the cluster.
+  const auto next = [&](const char* step) -> std::optional<SedResponse> {
+    for (;;) {
+      std::optional<SedResponse> response = replies.receive();
+      if (!response) return response;
+      const auto [id, cluster] = std::visit(
+          [](const auto& r) { return std::pair{r.request_id, r.cluster}; },
+          *response);
+      if (id != request_id || cluster < 0 || cluster >= agent.daemon_count())
+        throw std::runtime_error(
+            std::string("oagrid: unexpected response during ") + step);
+      if (index_of(cluster) == kept.size()) continue;
+      if (const auto* error = std::get_if<ErrorResponse>(&*response))
+        throw std::runtime_error("oagrid: SeD for cluster " +
+                                 std::to_string(cluster) + " failed during " +
+                                 step + ": " + error->message);
+      return response;
+    }
+  };
+
+  {
+    const obs::Clock& clock = obs::WallClock::instance();
+    obs::Span span(observed ? &obs::trace_buffer() : nullptr,
+                   "steps 1-4: pulled perf vectors + Algorithm 1",
+                   "middleware");
+    const double start_us = observed ? clock.now_us() : 0.0;
+    double pull_us = 0.0;
+    int pulls = 0;
+    std::vector<bool> awaited;  // campaign index -> a pull is in flight
+    const sched::PrefixExtender pull =
+        [&](std::vector<sched::PerformanceVector>& performance,
+            std::span<const std::size_t> want) {
+          const double pull_start_us = observed ? clock.now_us() : 0.0;
+          awaited.assign(performance.size(), false);
+          int outstanding = 0;
+          for (std::size_t c = 0; c < performance.size(); ++c) {
+            if (performance[c].size() >= want[c]) continue;
+            agent.send_perf_request(
+                kept[c], request_id, ensemble.scenarios, ensemble.months,
+                static_cast<Count>(performance[c].size()) + 1,
+                static_cast<Count>(want[c]), heuristic, replies.expect());
+            awaited[c] = true;
+            ++outstanding;
+          }
+          pulls += outstanding;
+          for (; outstanding > 0; --outstanding) {
+            std::optional<SedResponse> response = next("step 3");
+            if (!response) break;
+            const auto* perf = std::get_if<PerfResponse>(&*response);
+            const std::size_t c =
+                perf != nullptr ? index_of(perf->cluster) : kept.size();
+            if (c == kept.size() || !awaited[c])
+              throw std::runtime_error(
+                  "oagrid: unexpected response during step 3");
+            sched::PerformanceVector& prefix = performance[c];
+            if (perf->first != static_cast<Count>(prefix.size()) + 1)
+              throw std::runtime_error(
+                  "oagrid: performance entries out of order during step 3");
+            prefix.insert(prefix.end(), perf->performance.begin(),
+                          perf->performance.end());
+            awaited[c] = false;
+          }
+          if (observed) pull_us += clock.now_us() - pull_start_us;
+          if (outstanding > 0) throw PullRoundMissed{};
+        };
+    result.performance.assign(kept.size(), {});
+    replies.arm();
+    for (;;) {
+      try {
+        result.repartition = sched::demand_repartition(
+            result.performance, ensemble.scenarios, pull, charge);
+        break;
+      } catch (const PullRoundMissed&) {
+        std::size_t survivors = 0;
+        for (std::size_t c = 0; c < kept.size(); ++c) {
+          if (awaited[c]) continue;
+          kept[survivors] = kept[c];
+          result.performance[survivors++] = std::move(result.performance[c]);
+        }
+        OAGRID_WARN << "client: " << kept.size() - survivors
+                    << " daemon(s) dropped after the step-3 deadline";
+        kept.resize(survivors);
+        result.performance.resize(survivors);
+        if (kept.empty())
+          throw std::runtime_error(
+              "oagrid: no cluster answered step 3 in time");
+        replies.arm();
+      }
+    }
+    if (observed) {
+      obs::metrics().counter("middleware.perf_pulls").add(
+          static_cast<std::uint64_t>(pulls));
+      obs::metrics().histogram("middleware.step1_3_us").record(pull_us);
+      obs::metrics()
+          .histogram("middleware.step4_us")
+          .record(clock.now_us() - start_us - pull_us);
+    }
+    OAGRID_INFO << "client: steps 1-4 complete, " << pulls
+                << " performance request(s) pulled";
+  }
+
   obs::ScopedTimer step_timer(
-      obs::enabled() ? &obs::metrics().histogram("middleware.step5_6_us")
-                     : nullptr);
-  obs::Span step_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
+      observed ? &obs::metrics().histogram("middleware.step5_6_us")
+               : nullptr);
+  obs::Span step_span(observed ? &obs::trace_buffer() : nullptr,
                       "steps 5-6: execution", "middleware");
   int outstanding = 0;
-  for (ClusterId c = 0; c < agent.daemon_count(); ++c) {
-    const Count share =
-        result.repartition.dags_per_cluster[static_cast<std::size_t>(c)];
+  for (std::size_t c = 0; c < kept.size(); ++c) {
+    const Count share = result.repartition.dags_per_cluster[c];
     if (share == 0) continue;
-    agent.send_execute(c, request_id, share, ensemble.months, heuristic,
-                       reply);
+    agent.send_execute(kept[c], request_id, share, ensemble.months, heuristic,
+                       replies.expect());
     ++outstanding;
   }
-  for (int received = 0; received < outstanding; ++received) {
-    std::optional<SedResponse> response = reply.receive();
-    if (!response)
-      throw std::runtime_error("oagrid: SeD channel closed during step 6");
+  replies.arm();
+  for (; outstanding > 0; --outstanding) {
+    std::optional<SedResponse> response = next("step 6");
+    if (!response) break;
     const auto* exec = std::get_if<ExecuteResponse>(&*response);
-    if (exec == nullptr || exec->request_id != request_id)
+    if (exec == nullptr)
       throw std::runtime_error("oagrid: unexpected response during step 6");
     result.executions.push_back(*exec);
     result.makespan = std::max(result.makespan, exec->makespan);
@@ -130,6 +247,7 @@ void execute_shares(Deployment& agent, const appmodel::Ensemble& ensemble,
             [](const ExecuteResponse& a, const ExecuteResponse& b) {
               return a.cluster < b.cluster;
             });
+  return kept;
 }
 
 }  // namespace
@@ -148,24 +266,17 @@ Client::StagedCampaignResult Client::submit_staged(
   data.validate(agent_.daemon_count());
   OAGRID_REQUIRE(options.transfer_deadline > 0.0,
                  "transfer deadline must be positive");
-  const int request_id = next_request_id_++;
-  if (obs::enabled()) obs::metrics().counter("middleware.campaigns").add();
-  obs::Span campaign_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
-                          "campaign #" + std::to_string(request_id),
-                          "middleware");
 
   // Steps (1)-(6): the pulled, charged Algorithm 1, then the execution of
   // each cluster's share.
   StagedCampaignResult result;
   CampaignResult& campaign = result.campaign;
-  Mailbox<SedResponse> reply;
-  instrument_reply(reply);
   const sim::GridFaultOptions failure_free;
-  pull_repartition(agent_, ensemble, heuristic, request_id, reply,
-                   sim::placement_charge(data, failure_free,
-                                         campaign.performance, ensemble.months),
-                   campaign);
-  execute_shares(agent_, ensemble, heuristic, request_id, reply, campaign);
+  (void)run_campaign(agent_, ensemble, heuristic, next_request_id_++,
+                     sim::placement_charge(data, failure_free,
+                                           campaign.performance,
+                                           ensemble.months),
+                     std::nullopt, campaign);
 
   // The data movement around steps 5-6: inputs staged before each cluster
   // starts, results shipped home once its compute drains.
@@ -201,78 +312,14 @@ Client::FaultTolerantResult Client::submit_with_deadline(
   ensemble.validate();
   OAGRID_REQUIRE(agent_.daemon_count() >= 1, "no server daemon deployed");
   OAGRID_REQUIRE(step_timeout.count() > 0, "timeout must be positive");
-  const int request_id = next_request_id_++;
   FaultTolerantResult result;
-
-  // Steps (1)-(3) with a step deadline: collect whatever arrives in time.
-  Mailbox<SedResponse> reply;
-  instrument_reply(reply);
-  const int expected = agent_.broadcast_perf_request(
-      request_id, ensemble.scenarios, ensemble.months, heuristic, reply);
-  const auto deadline = std::chrono::steady_clock::now() + step_timeout;
-  std::vector<sched::PerformanceVector> vectors(
-      static_cast<std::size_t>(expected));
-  std::vector<bool> answered(static_cast<std::size_t>(expected), false);
-  int received = 0;
-  while (received < expected) {
-    const auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (budget.count() <= 0) break;
-    std::optional<SedResponse> response = reply.receive_for(budget);
-    if (!response) break;
-    const auto* perf = std::get_if<PerfResponse>(&*response);
-    if (perf == nullptr || perf->request_id != request_id) continue;  // stale
-    vectors[static_cast<std::size_t>(perf->cluster)] = perf->performance;
-    answered[static_cast<std::size_t>(perf->cluster)] = true;
-    ++received;
-  }
-  for (ClusterId c = 0; c < expected; ++c) {
-    if (answered[static_cast<std::size_t>(c)]) {
-      result.responsive.push_back(c);
-      result.campaign.performance.push_back(
-          std::move(vectors[static_cast<std::size_t>(c)]));
-    } else {
+  result.responsive = run_campaign(agent_, ensemble, heuristic,
+                                   next_request_id_++, nullptr, step_timeout,
+                                   result.campaign);
+  for (ClusterId c = 0; c < agent_.daemon_count(); ++c)
+    if (std::find(result.responsive.begin(), result.responsive.end(), c) ==
+        result.responsive.end())
       result.unresponsive.push_back(c);
-    }
-  }
-  if (result.responsive.empty())
-    throw std::runtime_error("oagrid: no cluster answered step 3 in time");
-  OAGRID_WARN << "client: " << result.unresponsive.size()
-              << " daemon(s) dropped after the step-3 deadline";
-
-  // Step (4) over the responsive subset.
-  result.campaign.repartition =
-      sched::greedy_repartition(result.campaign.performance, ensemble.scenarios);
-
-  // Steps (5)-(6), again under a deadline; silent executors are reported
-  // unresponsive (their share would be resubmitted by a real operator).
-  int outstanding = 0;
-  for (std::size_t i = 0; i < result.responsive.size(); ++i) {
-    const Count share = result.campaign.repartition.dags_per_cluster[i];
-    if (share == 0) continue;
-    agent_.send_execute(result.responsive[i], request_id, share,
-                        ensemble.months, heuristic, reply);
-    ++outstanding;
-  }
-  const auto exec_deadline = std::chrono::steady_clock::now() + step_timeout;
-  for (int got = 0; got < outstanding;) {
-    const auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
-        exec_deadline - std::chrono::steady_clock::now());
-    if (budget.count() <= 0) break;
-    std::optional<SedResponse> response = reply.receive_for(budget);
-    if (!response) break;
-    const auto* exec = std::get_if<ExecuteResponse>(&*response);
-    if (exec == nullptr || exec->request_id != request_id) continue;
-    result.campaign.executions.push_back(*exec);
-    result.campaign.makespan =
-        std::max(result.campaign.makespan, exec->makespan);
-    ++got;
-  }
-  std::sort(result.campaign.executions.begin(),
-            result.campaign.executions.end(),
-            [](const ExecuteResponse& a, const ExecuteResponse& b) {
-              return a.cluster < b.cluster;
-            });
   return result;
 }
 

@@ -27,18 +27,31 @@ class Client {
   explicit Client(Deployment& agent) : agent_(agent) {}
 
   /// Runs steps 1-6 synchronously and returns the aggregated result:
-  /// submit_staged with no network attached. Throws if a daemon fails to
-  /// answer (closed mailbox).
+  /// submit_staged with no network attached. Every receive blocks; throws if
+  /// a daemon reports an error, naming its cluster.
   [[nodiscard]] CampaignResult submit(const appmodel::Ensemble& ensemble,
                                       sched::Heuristic heuristic);
 
-  /// Fault-tolerant variant for real grids: daemons that do not answer a
-  /// protocol step within `step_timeout` are dropped from the campaign (the
-  /// repartition runs over the responsive clusters only — a crashed SeD
-  /// must not strand the whole experiment). Throws only when *no* cluster
-  /// answers step 3.
+  /// Fault-tolerant variant for real grids: the same pull-then-execute
+  /// driver as submit, with a deadline on each protocol step.
+  ///  - Steps 1-3: all pull rounds share one deadline, `step_timeout` from
+  ///    the first request. A daemon whose pull is still unanswered when it
+  ///    passes is dropped, and Algorithm 1 re-runs over the survivors from
+  ///    the prefixes already pulled, under a fresh deadline — so a healthy
+  ///    run finishes steps 1-3 within `step_timeout`, and each drop adds at
+  ///    most one more. The result is bit for bit greedy_repartition over
+  ///    the survivors' full vectors (submit's result when none is dropped);
+  ///    campaign.performance holds their pulled prefixes 1..min(share+1,
+  ///    NS). Late replies of dropped daemons are ignored.
+  ///  - Steps 5-6: one more deadline. An executor still silent when it
+  ///    passes is not waited for: its share stays in
+  ///    campaign.repartition.dags_per_cluster, campaign.executions has no
+  ///    ExecuteResponse for it, and campaign.makespan is over the reports
+  ///    received. It is not listed in `unresponsive`.
+  /// Throws when *no* cluster answers step 3, or when a daemon reports an
+  /// error.
   struct FaultTolerantResult {
-    CampaignResult campaign;               ///< over responsive clusters
+    CampaignResult campaign;               ///< indexed by campaign index
     std::vector<ClusterId> responsive;     ///< campaign index -> real id
     std::vector<ClusterId> unresponsive;   ///< dropped daemons
   };

@@ -18,25 +18,40 @@ class Deployment {
   /// Number of server daemons reachable through this deployment.
   [[nodiscard]] virtual int daemon_count() const = 0;
 
-  /// Step (1): fan the performance request out to every daemon; responses
-  /// arrive at `reply`. Returns the number of daemons contacted.
-  virtual int broadcast_perf_request(int request_id, Count scenarios,
-                                     Count months, sched::Heuristic heuristic,
-                                     Mailbox<SedResponse>& reply) = 0;
-
   /// Steps (1)-(3) as a pull: ask the daemon serving cluster `id` for
-  /// entries first..last of its performance vector; the PerfResponse
-  /// arrives at `reply`. Routed like send_execute; throws on an unknown id.
-  virtual void send_perf_request(ClusterId id, int request_id, Count scenarios,
-                                 Count months, Count first, Count last,
-                                 sched::Heuristic heuristic,
-                                 Mailbox<SedResponse>& reply) = 0;
+  /// entries first..last of its performance vector; the PerfResponse (or an
+  /// ErrorResponse) arrives at `reply`. Steps 1-3 reach the daemons only
+  /// through this call, one targeted request per cluster and pull round.
+  /// Throws on an unknown id.
+  void send_perf_request(ClusterId id, int request_id, Count scenarios,
+                         Count months, Count first, Count last,
+                         sched::Heuristic heuristic,
+                         Mailbox<SedResponse>& reply) {
+    deliver(id, PerfRequest{.request_id = request_id,
+                            .scenarios = scenarios,
+                            .months = months,
+                            .first = first,
+                            .last = last,
+                            .heuristic = heuristic,
+                            .reply = &reply});
+  }
 
   /// Step (5): deliver one execution request to the daemon serving cluster
   /// `id`. Throws on an unknown id.
-  virtual void send_execute(ClusterId id, int request_id, Count scenarios,
-                            Count months, sched::Heuristic heuristic,
-                            Mailbox<SedResponse>& reply) = 0;
+  void send_execute(ClusterId id, int request_id, Count scenarios,
+                    Count months, sched::Heuristic heuristic,
+                    Mailbox<SedResponse>& reply) {
+    deliver(id, ExecuteRequest{.request_id = request_id,
+                               .scenarios = scenarios,
+                               .months = months,
+                               .heuristic = heuristic,
+                               .reply = &reply});
+  }
+
+ protected:
+  /// Routes a PerfRequest or ExecuteRequest to the daemon serving cluster
+  /// `id`. Throws on an unknown id.
+  virtual void deliver(ClusterId id, SedRequest request) = 0;
 };
 
 }  // namespace oagrid::middleware

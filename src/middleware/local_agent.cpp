@@ -41,31 +41,14 @@ void LocalAgent::serve() {
   for (;;) {
     std::optional<AgentMessage> message = inbox_.receive();
     if (!message || std::holds_alternative<AgentShutdown>(*message)) break;
-    std::visit(
-        [this](const auto& m) {
-          using M = std::decay_t<decltype(m)>;
-          if constexpr (!std::is_same_v<M, AgentShutdown>) handle(m);
-        },
-        *message);
-  }
-}
-
-void LocalAgent::handle(const AgentBroadcast& broadcast) {
-  for (const Child& child : children_) {
-    if (const auto* sed = std::get_if<ServerDaemon*>(&child)) {
-      (*sed)->inbox().send(SedRequest{broadcast.request});
-    } else {
-      std::get<LocalAgent*>(child)->inbox().send(AgentMessage{broadcast});
-    }
+    handle(std::get<AgentRoute>(*message));
   }
 }
 
 void LocalAgent::handle(const AgentRoute& route) {
   for (std::size_t c = 0; c < children_.size(); ++c) {
     const auto& ids = child_served_[c];
-    if (!std::binary_search(ids.begin(), ids.end(), route.target) &&
-        std::find(ids.begin(), ids.end(), route.target) == ids.end())
-      continue;
+    if (!std::binary_search(ids.begin(), ids.end(), route.target)) continue;
     if (const auto* sed = std::get_if<ServerDaemon*>(&children_[c])) {
       (*sed)->inbox().send(SedRequest{route.request});
     } else {
@@ -118,49 +101,9 @@ ServerDaemon& HierarchicalAgent::daemon(ClusterId id) {
   return *daemons_[static_cast<std::size_t>(id)];
 }
 
-int HierarchicalAgent::broadcast_perf_request(int request_id, Count scenarios,
-                                              Count months,
-                                              sched::Heuristic heuristic,
-                                              Mailbox<SedResponse>& reply) {
-  PerfRequest request;
-  request.request_id = request_id;
-  request.scenarios = scenarios;
-  request.months = months;
-  request.heuristic = heuristic;
-  request.reply = &reply;
-  root_->inbox().send(AgentMessage{AgentBroadcast{request}});
-  return daemon_count();
-}
-
-void HierarchicalAgent::send_perf_request(ClusterId id, int request_id,
-                                          Count scenarios, Count months,
-                                          Count first, Count last,
-                                          sched::Heuristic heuristic,
-                                          Mailbox<SedResponse>& reply) {
+void HierarchicalAgent::deliver(ClusterId id, SedRequest request) {
   OAGRID_REQUIRE(id >= 0 && id < daemon_count(), "unknown cluster id");
-  PerfRequest request;
-  request.request_id = request_id;
-  request.scenarios = scenarios;
-  request.months = months;
-  request.first = first;
-  request.last = last;
-  request.heuristic = heuristic;
-  request.reply = &reply;
-  root_->inbox().send(AgentMessage{AgentRoute{id, SedRequest{request}}});
-}
-
-void HierarchicalAgent::send_execute(ClusterId id, int request_id,
-                                     Count scenarios, Count months,
-                                     sched::Heuristic heuristic,
-                                     Mailbox<SedResponse>& reply) {
-  OAGRID_REQUIRE(id >= 0 && id < daemon_count(), "unknown cluster id");
-  ExecuteRequest request;
-  request.request_id = request_id;
-  request.scenarios = scenarios;
-  request.months = months;
-  request.heuristic = heuristic;
-  request.reply = &reply;
-  root_->inbox().send(AgentMessage{AgentRoute{id, SedRequest{request}}});
+  root_->inbox().send(AgentMessage{AgentRoute{id, std::move(request)}});
 }
 
 void HierarchicalAgent::shutdown() {

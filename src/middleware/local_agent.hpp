@@ -6,9 +6,9 @@
 /// Real DIET deployments scale by structuring agents as a tree — the MA
 /// talks to a few LAs, each LA to a few children, leaves to SeDs — so no
 /// single agent fans out to hundreds of servers. Each LocalAgent here is a
-/// genuine thread with a mailbox: broadcasts travel down the tree hop by
-/// hop, and targeted requests (ranged perf pulls, executions) are routed by
-/// cluster-id ownership.
+/// genuine thread with a mailbox: every request (a ranged perf pull or an
+/// execution) travels down the tree hop by hop, routed by cluster-id
+/// ownership.
 ///
 /// HierarchicalAgent assembles the whole deployment (SeD fleet + balanced LA
 /// tree of a given branching factor) and exposes the client-facing
@@ -26,18 +26,14 @@
 
 namespace oagrid::middleware {
 
-/// Internal agent-to-agent message set: a broadcast that keeps fanning out,
-/// a request routed to one cluster (a ranged perf pull or an execute), and
-/// shutdown.
-struct AgentBroadcast {
-  PerfRequest request;
-};
+/// Internal agent-to-agent message set: a request routed to one cluster (a
+/// ranged perf pull or an execute), and shutdown.
 struct AgentRoute {
   ClusterId target = -1;
   SedRequest request;
 };
 struct AgentShutdown {};
-using AgentMessage = std::variant<AgentBroadcast, AgentRoute, AgentShutdown>;
+using AgentMessage = std::variant<AgentRoute, AgentShutdown>;
 
 class LocalAgent {
  public:
@@ -66,7 +62,6 @@ class LocalAgent {
 
  private:
   void serve();
-  void handle(const AgentBroadcast& broadcast);
   void handle(const AgentRoute& route);
 
   std::vector<Child> children_;
@@ -85,16 +80,6 @@ class HierarchicalAgent final : public Deployment {
   ~HierarchicalAgent() override;
 
   [[nodiscard]] int daemon_count() const override;
-  int broadcast_perf_request(int request_id, Count scenarios, Count months,
-                             sched::Heuristic heuristic,
-                             Mailbox<SedResponse>& reply) override;
-  void send_perf_request(ClusterId id, int request_id, Count scenarios,
-                         Count months, Count first, Count last,
-                         sched::Heuristic heuristic,
-                         Mailbox<SedResponse>& reply) override;
-  void send_execute(ClusterId id, int request_id, Count scenarios, Count months,
-                    sched::Heuristic heuristic,
-                    Mailbox<SedResponse>& reply) override;
 
   /// Depth of the agent tree (1 = a single root above the SeDs).
   [[nodiscard]] int tree_depth() const noexcept { return tree_depth_; }
@@ -108,6 +93,8 @@ class HierarchicalAgent final : public Deployment {
   void shutdown();
 
  private:
+  void deliver(ClusterId id, SedRequest request) override;
+
   std::vector<std::unique_ptr<ServerDaemon>> daemons_;
   std::vector<std::unique_ptr<LocalAgent>> agents_;
   LocalAgent* root_ = nullptr;

@@ -17,47 +17,8 @@ ServerDaemon& MasterAgent::daemon(ClusterId id) {
   return *daemons_[static_cast<std::size_t>(id)];
 }
 
-int MasterAgent::broadcast_perf_request(int request_id, Count scenarios,
-                                        Count months,
-                                        sched::Heuristic heuristic,
-                                        Mailbox<SedResponse>& reply) {
-  for (auto& daemon : daemons_) {
-    PerfRequest request;
-    request.request_id = request_id;
-    request.scenarios = scenarios;
-    request.months = months;
-    request.heuristic = heuristic;
-    request.reply = &reply;
-    daemon->inbox().send(SedRequest{request});
-  }
-  return daemon_count();
-}
-
-void MasterAgent::send_perf_request(ClusterId id, int request_id,
-                                    Count scenarios, Count months, Count first,
-                                    Count last, sched::Heuristic heuristic,
-                                    Mailbox<SedResponse>& reply) {
-  PerfRequest request;
-  request.request_id = request_id;
-  request.scenarios = scenarios;
-  request.months = months;
-  request.first = first;
-  request.last = last;
-  request.heuristic = heuristic;
-  request.reply = &reply;
-  daemon(id).inbox().send(SedRequest{request});
-}
-
-void MasterAgent::send_execute(ClusterId id, int request_id, Count scenarios,
-                               Count months, sched::Heuristic heuristic,
-                               Mailbox<SedResponse>& reply) {
-  ExecuteRequest request;
-  request.request_id = request_id;
-  request.scenarios = scenarios;
-  request.months = months;
-  request.heuristic = heuristic;
-  request.reply = &reply;
-  daemon(id).inbox().send(SedRequest{request});
+void MasterAgent::deliver(ClusterId id, SedRequest request) {
+  daemon(id).inbox().send(std::move(request));
 }
 
 void MasterAgent::shutdown() {

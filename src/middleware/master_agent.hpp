@@ -4,8 +4,8 @@
 /// server daemons.
 ///
 /// In DIET the Master Agent routes requests and aggregates server responses;
-/// here it owns the SeD fleet, fans requests out to every daemon and is the
-/// single place that knows how many responses to await.
+/// here it owns the SeD fleet and routes each targeted request to the daemon
+/// of its cluster.
 
 #include <memory>
 #include <vector>
@@ -31,27 +31,12 @@ class MasterAgent final : public Deployment {
   }
   [[nodiscard]] ServerDaemon& daemon(ClusterId id);
 
-  /// Step (1): broadcast a performance request; responses arrive at `reply`.
-  /// Returns the number of daemons contacted.
-  int broadcast_perf_request(int request_id, Count scenarios, Count months,
-                             sched::Heuristic heuristic,
-                             Mailbox<SedResponse>& reply) override;
-
-  /// Steps (1)-(3) as a pull: one ranged performance request to one daemon.
-  void send_perf_request(ClusterId id, int request_id, Count scenarios,
-                         Count months, Count first, Count last,
-                         sched::Heuristic heuristic,
-                         Mailbox<SedResponse>& reply) override;
-
-  /// Step (5): send one execution request to one daemon.
-  void send_execute(ClusterId id, int request_id, Count scenarios, Count months,
-                    sched::Heuristic heuristic,
-                    Mailbox<SedResponse>& reply) override;
-
   /// Stops every daemon (also done on destruction).
   void shutdown();
 
  private:
+  void deliver(ClusterId id, SedRequest request) override;
+
   std::vector<std::unique_ptr<ServerDaemon>> daemons_;
 };
 

@@ -7,6 +7,7 @@
 /// return to the client; (4) the client computes the repartition; (5) the
 /// client sends execution requests; (6) clusters execute their share.
 
+#include <string>
 #include <variant>
 
 #include "common/types.hpp"
@@ -51,7 +52,17 @@ struct ProgressUpdate {
   Seconds simulated_time = 0.0;
 };
 
-using SedResponse = std::variant<PerfResponse, ExecuteResponse, ProgressUpdate>;
+/// A request the daemon could not serve (an empty entry range, an allocation
+/// that failed, ...). The SeD reports the exception here instead of dying
+/// with it; the client fails the campaign with `message`.
+struct ErrorResponse {
+  int request_id = 0;
+  ClusterId cluster = 0;
+  std::string message;
+};
+
+using SedResponse = std::variant<PerfResponse, ExecuteResponse, ProgressUpdate,
+                                 ErrorResponse>;
 
 /// Step (1) request: "compute the time needed to execute from 1 to NS
 /// simulations" — or, when the client pulls its vectors on demand, only

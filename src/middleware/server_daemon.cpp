@@ -58,7 +58,19 @@ void ServerDaemon::serve() {
     std::visit(
         [this](const auto& r) {
           using R = std::decay_t<decltype(r)>;
-          if constexpr (!std::is_same_v<R, ShutdownRequest>) handle(r);
+          if constexpr (!std::is_same_v<R, ShutdownRequest>) {
+            // A request that fails is answered with its error; the daemon
+            // stays up for the next one.
+            try {
+              handle(r);
+            } catch (const std::exception& e) {
+              OAGRID_WARN << "SeD " << id_ << " request #" << r.request_id
+                          << " failed: " << e.what();
+              if (r.reply)
+                r.reply->send(
+                    SedResponse{ErrorResponse{r.request_id, id_, e.what()}});
+            }
+          }
         },
         *request);
     if (observed) {
@@ -80,6 +92,8 @@ void ServerDaemon::serve() {
 
 void ServerDaemon::handle(const PerfRequest& request) {
   const Count last = request.last == 0 ? request.scenarios : request.last;
+  OAGRID_REQUIRE(request.first >= 1 && request.first <= last,
+                 "empty performance entry range");
   OAGRID_DEBUG << "SeD " << id_ << " perf request #" << request.request_id
                << " NS=" << request.scenarios << " NM=" << request.months
                << " entries " << request.first << ".." << last;

@@ -77,6 +77,9 @@ sched::PerformanceVector MiddlewareEstimator::vector(
   const auto response = reply.receive();
   if (!response)
     throw std::runtime_error("oagrid: estimation SeD closed its mailbox");
+  if (const auto* error = std::get_if<middleware::ErrorResponse>(&*response))
+    throw std::runtime_error("oagrid: estimation SeD for cluster " +
+                             cluster.name() + " failed: " + error->message);
   const auto* perf = std::get_if<middleware::PerfResponse>(&*response);
   if (perf == nullptr || perf->request_id != request.request_id)
     throw std::runtime_error("oagrid: unexpected SeD response to PerfRequest");

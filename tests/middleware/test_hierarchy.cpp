@@ -35,36 +35,6 @@ TEST(LocalAgent, RejectsDuplicateClusterIds) {
   b.stop();
 }
 
-TEST(LocalAgent, BroadcastReachesEveryLeafThroughTheTree) {
-  ServerDaemon s0(0, platform::make_builtin_cluster(0, 15));
-  ServerDaemon s1(1, platform::make_builtin_cluster(1, 15));
-  ServerDaemon s2(2, platform::make_builtin_cluster(2, 15));
-  LocalAgent left({&s0, &s1});
-  LocalAgent root({&left, &s2});
-  EXPECT_EQ(root.daemon_count(), 3);
-
-  Mailbox<SedResponse> reply;
-  PerfRequest request;
-  request.request_id = 9;
-  request.scenarios = 2;
-  request.months = 3;
-  request.reply = &reply;
-  root.inbox().send(AgentMessage{AgentBroadcast{request}});
-
-  std::set<ClusterId> responded;
-  for (int i = 0; i < 3; ++i) {
-    const auto response = reply.receive();
-    ASSERT_TRUE(response.has_value());
-    responded.insert(std::get<PerfResponse>(*response).cluster);
-  }
-  EXPECT_EQ(responded, (std::set<ClusterId>{0, 1, 2}));
-  root.stop();
-  left.stop();
-  s0.stop();
-  s1.stop();
-  s2.stop();
-}
-
 TEST(LocalAgent, RoutesExecuteToTheOwningSubtree) {
   ServerDaemon s0(0, platform::make_builtin_cluster(0, 15));
   ServerDaemon s1(1, platform::make_builtin_cluster(1, 15));

@@ -101,6 +101,44 @@ TEST(ServerDaemon, AnswersRangedPerfRequest) {
   daemon.stop();
 }
 
+TEST(ServerDaemon, AnswersABadRequestWithAnErrorAndStaysUp) {
+  const platform::Cluster cluster = platform::make_builtin_cluster(1, 30);
+  ServerDaemon daemon(2, cluster);
+  Mailbox<SedResponse> reply;
+  PerfRequest no_scenarios;
+  no_scenarios.request_id = 11;
+  no_scenarios.scenarios = 0;
+  no_scenarios.months = 4;
+  no_scenarios.reply = &reply;
+  PerfRequest inverted = no_scenarios;
+  inverted.request_id = 12;
+  inverted.scenarios = 5;
+  inverted.first = 4;
+  inverted.last = 3;
+  for (const PerfRequest& bad : {no_scenarios, inverted}) {
+    daemon.inbox().send(SedRequest{bad});
+    const auto response = reply.receive();
+    ASSERT_TRUE(response.has_value());
+    const auto* error = std::get_if<ErrorResponse>(&*response);
+    ASSERT_NE(error, nullptr) << "request #" << bad.request_id;
+    EXPECT_EQ(error->request_id, bad.request_id);
+    EXPECT_EQ(error->cluster, 2);
+    EXPECT_FALSE(error->message.empty());
+  }
+
+  PerfRequest valid = no_scenarios;
+  valid.request_id = 13;
+  valid.scenarios = 3;
+  daemon.inbox().send(SedRequest{valid});
+  const auto response = reply.receive();
+  ASSERT_TRUE(response.has_value());
+  const auto& perf = std::get<PerfResponse>(*response);
+  EXPECT_EQ(perf.request_id, 13);
+  EXPECT_EQ(perf.performance,
+            sim::performance_vector(cluster, 3, 4, sched::Heuristic::kKnapsack));
+  daemon.stop();
+}
+
 TEST(ServerDaemon, AnswersExecuteRequest) {
   ServerDaemon daemon(3, platform::make_builtin_cluster(2, 25));
   Mailbox<SedResponse> reply;

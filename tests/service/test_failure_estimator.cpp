@@ -3,15 +3,37 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "fault/checkpoint.hpp"
 #include "platform/profiles.hpp"
 #include "service/service.hpp"
+#include "sim/perf_vector.hpp"
 
 namespace oagrid::service {
 namespace {
 
 platform::Grid test_grid() { return platform::make_builtin_grid(25).prefix(3); }
+
+TEST(MiddlewareEstimator, SedErrorIsRaisedNamingTheCluster) {
+  const platform::Grid grid = test_grid();
+  MiddlewareEstimator estimator;
+  const auto good =
+      estimator.vector(grid.cluster(1), 3, 4, sched::Heuristic::kBasic);
+  EXPECT_EQ(good, sim::performance_vector(grid.cluster(1), 3, 4,
+                                          sched::Heuristic::kBasic));
+  try {
+    (void)estimator.vector(grid.cluster(1), 0, 4, sched::Heuristic::kBasic);
+    ADD_FAILURE() << "an empty request must fail";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(grid.cluster(1).name()),
+              std::string::npos)
+        << e.what();
+  }
+  // The daemon survived its failed request.
+  EXPECT_EQ(estimator.vector(grid.cluster(1), 3, 4, sched::Heuristic::kBasic),
+            good);
+}
 
 TEST(FailureAwareEstimator, InactiveModelPassesThroughExactly) {
   const platform::Grid grid = test_grid();

@@ -130,8 +130,10 @@ TEST(Knapsack, BetterSolutionOrdering) {
   EXPECT_TRUE(better_solution(a, b));  // same value+weight, fewer groups
 }
 
+// Two 8-byte fields and no padding: gtest prints the parameter's raw bytes
+// into the test name, and padding bytes would be indeterminate.
 struct SweepCase {
-  int capacity;
+  Count capacity;
   Count max_items;
 };
 
@@ -139,7 +141,7 @@ class KnapsackSolverAgreement : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(KnapsackSolverAgreement, AllSolversEquallyGood) {
   const auto [capacity, max_items] = GetParam();
-  const Problem p = paper_items(capacity, max_items);
+  const Problem p = paper_items(static_cast<int>(capacity), max_items);
   const Solution dp = solve_dp(p);
   const Solution ex = solve_exhaustive(p);
   EXPECT_TRUE(is_feasible(p, dp));

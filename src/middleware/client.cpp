@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <exception>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -23,10 +23,10 @@ namespace {
 struct PullRoundMissed {};
 
 /// The client's reply mailbox for one campaign and the step deadline its
-/// receives wait for. When the campaign fails, the replies healthy daemons
-/// still owe it are collected before the mailbox goes (up to the deadline
-/// when one is set), so that they do not send into a freed mailbox. A
-/// campaign that returns owes only replies that already missed a deadline.
+/// receives wait for. Every request of the campaign shares the mailbox, so
+/// a daemon that answers after the campaign returned or failed (a missed
+/// deadline, an error elsewhere) sends into live memory; the mailbox is
+/// closed on the way out, and such late answers are dropped.
 class Replies {
  public:
   explicit Replies(std::optional<std::chrono::milliseconds> step_timeout)
@@ -37,21 +37,14 @@ class Replies {
     probe.depth_on_send = &obs::metrics().histogram("middleware.reply.depth");
     probe.wait_us = &obs::metrics().histogram("middleware.reply.wait_us");
     probe.sends = &obs::metrics().counter("middleware.reply.sends");
-    mailbox_.instrument(probe);
+    mailbox_->instrument(probe);
   }
-  ~Replies() {
-    if (std::uncaught_exceptions() > unwinding_)
-      while (in_flight_ > 0 && receive()) {
-      }
-  }
+  ~Replies() { mailbox_->close(); }
   Replies(const Replies&) = delete;
   Replies& operator=(const Replies&) = delete;
 
-  /// The mailbox to send one more request's reply to.
-  Mailbox<SedResponse>& expect() {
-    ++in_flight_;
-    return mailbox_;
-  }
+  /// The mailbox a request's reply goes to.
+  [[nodiscard]] const ReplyBox& box() const noexcept { return mailbox_; }
 
   /// Starts a protocol step's deadline.
   void arm() {
@@ -60,26 +53,19 @@ class Replies {
   }
 
   /// The next message; std::nullopt once the step deadline passed. Never
-  /// std::nullopt without a deadline: no one closes the mailbox.
+  /// std::nullopt without a deadline: the mailbox closes only with us.
   std::optional<SedResponse> receive() {
-    std::optional<SedResponse> response;
-    if (!step_timeout_) {
-      response = mailbox_.receive();
-    } else if (const auto budget = std::chrono::ceil<std::chrono::milliseconds>(
-                   deadline_ - std::chrono::steady_clock::now());
-               budget.count() > 0) {
-      response = mailbox_.receive_for(budget);
-    }
-    if (response) --in_flight_;
-    return response;
+    if (!step_timeout_) return mailbox_->receive();
+    const auto budget = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline_ - std::chrono::steady_clock::now());
+    if (budget.count() <= 0) return std::nullopt;
+    return mailbox_->receive_for(budget);
   }
 
  private:
   std::optional<std::chrono::milliseconds> step_timeout_;
   std::chrono::steady_clock::time_point deadline_{};
-  int in_flight_ = 0;  // requests sent and not yet answered
-  int unwinding_ = std::uncaught_exceptions();
-  Mailbox<SedResponse> mailbox_;
+  ReplyBox mailbox_ = std::make_shared<Mailbox<SedResponse>>();
 };
 
 /// Steps (1)-(6) of one campaign: the one driver behind submit,
@@ -159,7 +145,7 @@ std::vector<ClusterId> run_campaign(
             agent.send_perf_request(
                 kept[c], request_id, ensemble.scenarios, ensemble.months,
                 static_cast<Count>(performance[c].size()) + 1,
-                static_cast<Count>(want[c]), heuristic, replies.expect());
+                static_cast<Count>(want[c]), heuristic, replies.box());
             awaited[c] = true;
             ++outstanding;
           }
@@ -230,7 +216,7 @@ std::vector<ClusterId> run_campaign(
     const Count share = result.repartition.dags_per_cluster[c];
     if (share == 0) continue;
     agent.send_execute(kept[c], request_id, share, ensemble.months, heuristic,
-                       replies.expect());
+                       replies.box());
     ++outstanding;
   }
   replies.arm();

@@ -7,6 +7,8 @@
 /// programs against this interface. MasterAgent (flat fleet) and
 /// HierarchicalAgent (LA tree) both implement it.
 
+#include <utility>
+
 #include "middleware/messages.hpp"
 
 namespace oagrid::middleware {
@@ -26,26 +28,26 @@ class Deployment {
   void send_perf_request(ClusterId id, int request_id, Count scenarios,
                          Count months, Count first, Count last,
                          sched::Heuristic heuristic,
-                         Mailbox<SedResponse>& reply) {
+                         ReplyBox reply) {
     deliver(id, PerfRequest{.request_id = request_id,
                             .scenarios = scenarios,
                             .months = months,
                             .first = first,
                             .last = last,
                             .heuristic = heuristic,
-                            .reply = &reply});
+                            .reply = std::move(reply)});
   }
 
   /// Step (5): deliver one execution request to the daemon serving cluster
   /// `id`. Throws on an unknown id.
   void send_execute(ClusterId id, int request_id, Count scenarios,
                     Count months, sched::Heuristic heuristic,
-                    Mailbox<SedResponse>& reply) {
+                    ReplyBox reply) {
     deliver(id, ExecuteRequest{.request_id = request_id,
                                .scenarios = scenarios,
                                .months = months,
                                .heuristic = heuristic,
-                               .reply = &reply});
+                               .reply = std::move(reply)});
   }
 
  protected:

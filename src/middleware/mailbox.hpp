@@ -80,7 +80,10 @@ class Mailbox {
     ready_.wait(lock, [this] { return !queue_.empty() || closed_; });
     probe_wait_end(entered_us);
     if (queue_.empty()) return std::nullopt;
-    T message = std::move(queue_.front());
+    // Moved straight into the optional: a detour through a local T makes
+    // GCC 12 at -O2 warn -Wmaybe-uninitialized on messages that hold a
+    // std::shared_ptr (the reply mailboxes), a false positive.
+    std::optional<T> message(std::move(queue_.front()));
     queue_.pop_front();
     return message;
   }
@@ -95,7 +98,7 @@ class Mailbox {
     probe_wait_end(entered_us);
     if (!ready) return std::nullopt;
     if (queue_.empty()) return std::nullopt;
-    T message = std::move(queue_.front());
+    std::optional<T> message(std::move(queue_.front()));
     queue_.pop_front();
     return message;
   }
@@ -104,7 +107,7 @@ class Mailbox {
   std::optional<T> try_receive() {
     const std::scoped_lock lock(mutex_);
     if (queue_.empty()) return std::nullopt;
-    T message = std::move(queue_.front());
+    std::optional<T> message(std::move(queue_.front()));
     queue_.pop_front();
     return message;
   }

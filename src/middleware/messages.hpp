@@ -7,6 +7,7 @@
 /// return to the client; (4) the client computes the repartition; (5) the
 /// client sends execution requests; (6) clusters execute their share.
 
+#include <memory>
 #include <string>
 #include <variant>
 
@@ -64,6 +65,12 @@ struct ErrorResponse {
 using SedResponse = std::variant<PerfResponse, ExecuteResponse, ProgressUpdate,
                                  ErrorResponse>;
 
+/// Where a daemon sends its answers to one request. The request shares the
+/// mailbox with the client, so a daemon that answers after the client gave
+/// up on it (a missed step deadline, a failed campaign) still sends into
+/// live memory.
+using ReplyBox = std::shared_ptr<Mailbox<SedResponse>>;
+
 /// Step (1) request: "compute the time needed to execute from 1 to NS
 /// simulations" — or, when the client pulls its vectors on demand, only
 /// entries first..last of that vector. The default range, 1..NS, is the
@@ -76,7 +83,7 @@ struct PerfRequest {
   Count first = 1;      ///< first entry wanted (1-based)
   Count last = 0;       ///< last entry wanted, inclusive; 0 = NS
   sched::Heuristic heuristic = sched::Heuristic::kKnapsack;
-  Mailbox<SedResponse>* reply = nullptr;
+  ReplyBox reply;
 };
 
 /// Step (5) request: execute `scenarios` simulations. Setting
@@ -88,7 +95,7 @@ struct ExecuteRequest {
   Count months = 0;
   sched::Heuristic heuristic = sched::Heuristic::kKnapsack;
   Count progress_every = 0;
-  Mailbox<SedResponse>* reply = nullptr;
+  ReplyBox reply;
 };
 
 struct ShutdownRequest {};

@@ -12,6 +12,7 @@
 /// scenario-to-cluster assignment (a scenario never migrates once placed —
 /// the paper's "cannot change location" rule).
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -27,13 +28,15 @@ using CampaignId = std::uint32_t;
 /// entitled to relative to other owners, and the workload size.
 struct CampaignSpec {
   std::string owner;   ///< tenant name (fair-share accounting key)
-  double weight = 1.0; ///< fair-share weight (> 0)
+  double weight = 1.0; ///< fair-share weight (finite, > 0)
   Count scenarios = 0; ///< NS
   Count months = 0;    ///< NM
 
   void validate() const {
     OAGRID_REQUIRE(!owner.empty(), "campaign needs an owner");
-    OAGRID_REQUIRE(weight > 0.0, "campaign weight must be positive");
+    // Finite too: the weight keys the owner's fair-share queue bucket.
+    OAGRID_REQUIRE(std::isfinite(weight) && weight > 0.0,
+                   "campaign weight must be positive and finite");
     OAGRID_REQUIRE(scenarios >= 1, "campaign needs at least one scenario");
     OAGRID_REQUIRE(months >= 1, "campaign needs at least one month");
   }

@@ -1,5 +1,6 @@
 #include "service/estimator.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <variant>
 
@@ -65,16 +66,17 @@ sched::PerformanceVector MiddlewareEstimator::vector(
       it != deployed_.end() ? it->second : agent_->deploy(cluster);
   if (it == deployed_.end()) deployed_.emplace(key, sed);
 
-  middleware::Mailbox<middleware::SedResponse> reply;
+  const auto reply =
+      std::make_shared<middleware::Mailbox<middleware::SedResponse>>();
   middleware::PerfRequest request;
   request.request_id = next_request_id_++;
   request.scenarios = scenarios;
   request.months = months;
   request.heuristic = heuristic;
-  request.reply = &reply;
+  request.reply = reply;
   agent_->daemon(sed).inbox().send(middleware::SedRequest{request});
 
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   if (!response)
     throw std::runtime_error("oagrid: estimation SeD closed its mailbox");
   if (const auto* error = std::get_if<middleware::ErrorResponse>(&*response))

@@ -27,44 +27,81 @@ CampaignQueue::CampaignQueue(QueuePolicy policy, std::size_t capacity)
   OAGRID_REQUIRE(capacity >= 1, "queue capacity must be at least 1");
 }
 
-bool CampaignQueue::try_enqueue(CampaignId id, double priority) {
-  if (queued_.size() >= capacity_) return false;
-  OAGRID_REQUIRE(keys_.find(id) == keys_.end(), "campaign already queued");
-  queued_.push_back(id);
-  const IndexKey key{policy_ == QueuePolicy::kFifo ? 0.0 : priority,
-                     next_seq_++, id};
-  keys_.emplace(id, key);
-  index_.insert(key);
+bool CampaignQueue::try_enqueue(CampaignId id, double priority,
+                                BucketKey bucket) {
+  if (full()) return false;
+  OAGRID_REQUIRE(slots_.find(id) == slots_.end(), "campaign already queued");
+  switch (policy_) {
+    case QueuePolicy::kFifo:
+      priority = 0.0;
+      bucket = 0;
+      break;
+    case QueuePolicy::kShortestRemaining:
+      bucket = id;
+      break;
+    case QueuePolicy::kWeightedFairShare:
+      break;
+  }
+  const auto found = buckets_.find(bucket);
+  OAGRID_REQUIRE(found == buckets_.end() || found->second.priority == priority,
+                 "a bucket's campaigns must share one priority");
+  const std::uint64_t seq = next_seq_++;
+  slots_.emplace(id, Slot{seq, bucket});
+  by_seq_.emplace(seq, id);
+  if (found != buckets_.end()) {
+    // A later seq never becomes the head of a non-empty bucket.
+    found->second.members.emplace(seq, id);
+  } else {
+    Bucket& fresh = buckets_[bucket];
+    fresh.priority = priority;
+    fresh.members.emplace(seq, id);
+    index_.insert(key_of(bucket, fresh));
+  }
   return true;
 }
 
 void CampaignQueue::remove(CampaignId id) {
-  const auto it = std::find(queued_.begin(), queued_.end(), id);
-  OAGRID_REQUIRE(it != queued_.end(), "campaign not queued");
-  queued_.erase(it);
-  const auto key = keys_.find(id);
-  index_.erase(key->second);
-  keys_.erase(key);
+  const auto slot = slots_.find(id);
+  OAGRID_REQUIRE(slot != slots_.end(), "campaign not queued");
+  const auto [seq, key] = slot->second;
+  slots_.erase(slot);
+  by_seq_.erase(seq);
+  const auto it = buckets_.find(key);
+  Bucket& bucket = it->second;
+  const bool head = bucket.members.begin()->first == seq;
+  if (head) index_.erase(key_of(key, bucket));
+  bucket.members.erase(seq);
+  if (bucket.members.empty()) {
+    buckets_.erase(it);
+  } else if (head) {
+    index_.insert(key_of(key, bucket));
+  }
 }
 
-void CampaignQueue::update_priority(CampaignId id, double priority) {
+void CampaignQueue::set_bucket_priority(BucketKey bucket, double priority) {
   if (policy_ == QueuePolicy::kFifo) return;
-  const auto key = keys_.find(id);
-  OAGRID_REQUIRE(key != keys_.end(), "campaign not queued");
-  if (std::get<0>(key->second) == priority) return;
-  index_.erase(key->second);
-  std::get<0>(key->second) = priority;
-  index_.insert(key->second);
+  const auto it = buckets_.find(bucket);
+  if (it == buckets_.end() || it->second.priority == priority) return;
+  index_.erase(key_of(bucket, it->second));
+  it->second.priority = priority;
+  index_.insert(key_of(bucket, it->second));
 }
 
 CampaignId CampaignQueue::front() const {
   OAGRID_REQUIRE(!index_.empty(), "front() on an empty queue");
-  return std::get<2>(*index_.begin());
+  return buckets_.at(std::get<2>(*index_.begin())).members.begin()->second;
+}
+
+std::vector<CampaignId> CampaignQueue::queued() const {
+  std::vector<CampaignId> ids;
+  ids.reserve(by_seq_.size());
+  for (const auto& [seq, id] : by_seq_) ids.push_back(id);
+  return ids;
 }
 
 std::vector<CampaignId> CampaignQueue::admission_order(
     const std::function<double(CampaignId)>& priority) const {
-  std::vector<CampaignId> order = queued_;
+  std::vector<CampaignId> order = queued();
   if (policy_ == QueuePolicy::kFifo) return order;
   // Stable sort: equal priorities keep submission order, so the ordering is
   // deterministic and replayable.

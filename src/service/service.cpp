@@ -181,12 +181,7 @@ void CampaignService::process_submission(const PendingEvent& event) {
     }
     return;
   }
-  const double priority = options_.policy == QueuePolicy::kFifo
-                              ? 0.0
-                              : admission_priority(event.campaign);
-  const bool enqueued = queue_.try_enqueue(event.campaign, priority);
-  OAGRID_REQUIRE(enqueued, "enqueue failed on a non-full queue");
-  owner_queued_[state.spec.owner].insert(event.campaign);
+  OAGRID_REQUIRE(enqueue(event.campaign), "enqueue failed on a non-full queue");
   state.status = CampaignStatus::kQueued;
   if (obs::enabled() && !replaying_)
     obs::metrics().gauge("service.queue.depth")
@@ -378,13 +373,28 @@ double CampaignService::admission_priority(CampaignId id) {
   return 0.0;
 }
 
+bool CampaignService::enqueue(CampaignId id) {
+  CampaignQueue::BucketKey bucket = 0;  // the queue's own under fifo, srmf
+  if (options_.policy == QueuePolicy::kWeightedFairShare) {
+    // One bucket per (owner, weight), keyed for the service's lifetime.
+    const CampaignSpec& spec = campaigns_.at(id).spec;
+    const auto [it, fresh] =
+        owner_buckets_[spec.owner].try_emplace(spec.weight, next_bucket_);
+    if (fresh) ++next_bucket_;
+    bucket = it->second;
+  }
+  return queue_.try_enqueue(id, admission_priority(id), bucket);
+}
+
 void CampaignService::reprioritize_owner(const std::string& owner) {
   if (options_.policy != QueuePolicy::kWeightedFairShare) return;
-  const auto it = owner_queued_.find(owner);
-  if (it == owner_queued_.end()) return;
-  for (const CampaignId id : it->second)
-    queue_.update_priority(
-        id, owner_consumed_[owner] / campaigns_.at(id).spec.weight);
+  const auto it = owner_buckets_.find(owner);
+  if (it == owner_buckets_.end()) return;
+  // The expression admission_priority() evaluates, per weight not per
+  // campaign: every campaign of a bucket shares this double.
+  const double consumed = owner_consumed_.at(owner);
+  for (const auto& [weight, bucket] : it->second)
+    queue_.set_bucket_priority(bucket, consumed / weight);
 }
 
 std::vector<LeaseClaim> CampaignService::incumbent_claims() const {
@@ -477,7 +487,6 @@ bool CampaignService::admissible_now() {
 void CampaignService::admit(CampaignId id) {
   queue_.remove(id);
   CampaignState& state = campaigns_.at(id);
-  owner_queued_[state.spec.owner].erase(id);
   const Count scenarios = state.spec.scenarios;
 
   // Pass 1: plan with the newcomer claiming everywhere, plus a guaranteed
@@ -963,8 +972,9 @@ std::string CampaignService::encode_state() const {
     for (const ClusterId c : state.assignment) put(out, c);
   }
 
-  put(out, static_cast<std::uint32_t>(queue_.queued().size()));
-  for (const CampaignId id : queue_.queued()) put(out, id);
+  const std::vector<CampaignId> queued = queue_.queued();
+  put(out, static_cast<std::uint32_t>(queued.size()));
+  for (const CampaignId id : queued) put(out, id);
 
   put(out, static_cast<std::uint32_t>(allotments_.size()));
   for (const auto& [key, allotment] : allotments_) {
@@ -1047,11 +1057,11 @@ void CampaignService::decode_state(const std::string& payload) {
     campaigns_.emplace(state.id, std::move(state));
   }
 
-  const auto n_queued = in.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < n_queued; ++i) {
-    const bool ok = queue_.try_enqueue(in.get<CampaignId>());
-    OAGRID_REQUIRE(ok, "snapshot queue exceeds the configured capacity");
-  }
+  // Enqueued once the whole state is in: the priorities read
+  // owner_consumed_, which is decoded further down.
+  std::vector<CampaignId> queued;
+  for (auto n = in.get<std::uint32_t>(); n > 0; --n)
+    queued.push_back(in.get<CampaignId>());
 
   const auto n_allotments = in.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < n_allotments; ++i) {
@@ -1108,14 +1118,9 @@ void CampaignService::decode_state(const std::string& payload) {
   }
   OAGRID_REQUIRE(in.exhausted(), "trailing bytes in snapshot payload");
 
-  // The queue section was decoded before owner_consumed_, so enqueue-time
-  // priorities were keyed off empty accounting; re-key now that the full
-  // state is in, and rebuild the per-owner fan-out sets.
-  for (const CampaignId id : queue_.queued()) {
-    owner_queued_[campaigns_.at(id).spec.owner].insert(id);
-    if (options_.policy != QueuePolicy::kFifo)
-      queue_.update_priority(id, admission_priority(id));
-  }
+  for (const CampaignId id : queued)
+    OAGRID_REQUIRE(enqueue(id),
+                   "snapshot queue exceeds the configured capacity");
   mark_claims_dirty();
 }
 

@@ -209,6 +209,7 @@ class CampaignService {
   [[nodiscard]] const std::vector<Lease>& current_plan();
   [[nodiscard]] bool admissible_now();
   void mark_claims_dirty() noexcept;
+  [[nodiscard]] bool enqueue(CampaignId id);
   void reprioritize_owner(const std::string& owner);
   [[nodiscard]] double admission_priority(CampaignId id);
   void apply_plan(const std::vector<Lease>& plan);
@@ -261,8 +262,10 @@ class CampaignService {
   std::vector<std::set<CampaignId>> cluster_members_;
   /// Allotments whose dispatch inputs changed since the last dispatch().
   std::set<AllotmentKey> dispatch_dirty_;
-  /// Queued campaigns per owner (fair-share re-keying fan-out).
-  std::map<std::string, std::set<CampaignId>> owner_queued_;
+  /// Fair-share queue bucket per owner and weight (the re-keying fan-out).
+  std::map<std::string, std::map<double, CampaignQueue::BucketKey>>
+      owner_buckets_;
+  CampaignQueue::BucketKey next_bucket_ = 0;
 
   bool claims_dirty_ = true;
   std::vector<LeaseClaim> claims_cache_;

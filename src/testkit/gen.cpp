@@ -126,7 +126,9 @@ std::vector<ServiceEntry> make_schedule(const CaseSpec& spec, Rng& rng) {
   for (int i = 0; i < spec.campaigns; ++i) {
     ServiceEntry entry;
     entry.spec.owner = kOwners[rng.uniform_int(0, 3)];
-    entry.spec.weight = rng.uniform(0.5, 3.0);
+    // A small discrete set, so campaigns of one owner share fair-share
+    // queue buckets (equal owner and weight) and tie across owners.
+    entry.spec.weight = static_cast<double>(rng.uniform_int(1, 3));
     entry.spec.scenarios = rng.uniform_int(1, 4);
     entry.spec.months = rng.uniform_int(1, 6);
     at += rng.uniform() < 0.4 ? 0.0 : rng.uniform(0.0, 5000.0);

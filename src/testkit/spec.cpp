@@ -65,7 +65,7 @@ void CaseSpec::clamp() noexcept {
   clamp_field(recovery, 0, 2);
   clamp_field(heuristic, 0, 3);
   clamp_field(dispatch, 0, 2);
-  clamp_field(campaigns, 0, 4);
+  clamp_field(campaigns, 0, 6);
   clamp_field(kills, 0, 3);
   clamp_field(snapshot_every, Count{0}, Count{8});
 }
@@ -146,7 +146,7 @@ CaseSpec spec_for_case(std::uint64_t root_seed, std::uint64_t index) {
   spec.recovery = static_cast<int>(rng.uniform_int(0, 2));
   spec.heuristic = static_cast<int>(rng.uniform_int(0, 3));
   spec.dispatch = static_cast<int>(rng.uniform_int(0, 2));
-  spec.campaigns = static_cast<int>(rng.uniform_int(0, 4));
+  spec.campaigns = static_cast<int>(rng.uniform_int(0, 6));
   spec.kills = static_cast<int>(rng.uniform_int(0, 3));
   spec.group_commit = rng.uniform() < 0.5;
   spec.snapshot_every = rng.uniform_int(0, 8);

@@ -175,6 +175,35 @@ TEST(CliErrors, SweepStepBelowOneIsRejected) {
   }
 }
 
+TEST(CliErrors, ServeCampaignNumbersMustParseWhole) {
+  // Every numeric field of --campaigns is parsed completely and reported as
+  // the malformed campaign, never as a bare conversion error.
+  for (const std::string item :
+       {"alice:3xZ", "alice:1x1:wfoo", "alice:3x12abc", "alice:1x1:w2q",
+        "alice:1x1@20s", "alice:99999999999999999999x1"}) {
+    const CliResult result = run_cli("serve --campaigns " + item);
+    EXPECT_EQ(result.exit_code, 1) << item;
+    EXPECT_NE(result.output.find("bad campaign '" + item + "'"),
+              std::string::npos)
+        << item << "\n"
+        << result.output;
+    EXPECT_EQ(result.output.find("stoll"), std::string::npos) << item;
+    EXPECT_EQ(result.output.find("stod"), std::string::npos) << item;
+  }
+}
+
+TEST(CliErrors, ServeCampaignWeightAndArrivalMustBeFinite) {
+  for (const std::string item : {"alice:1x1@inf", "alice:1x1@nan",
+                                 "alice:1x1:winf", "alice:1x1:wnan"}) {
+    const CliResult result = run_cli("serve --campaigns " + item);
+    EXPECT_EQ(result.exit_code, 1) << item;
+    EXPECT_NE(result.output.find("bad campaign '" + item + "'"),
+              std::string::npos)
+        << item << "\n"
+        << result.output;
+  }
+}
+
 TEST(CliErrors, GoodPathsStillExitZero) {
   // Guard the guards: the error harness itself must not flag healthy runs.
   EXPECT_EQ(run_cli("simulate --months 2").exit_code, 0);
@@ -185,6 +214,9 @@ TEST(CliErrors, GoodPathsStillExitZero) {
       run_cli("grid --months 2 --clusters 2 --network=" + file.path())
           .exit_code,
       0);
+  EXPECT_EQ(run_cli("serve --campaigns alice:1x2:w1.5@10,bob:1x1@10.5")
+                .exit_code,
+            0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -119,7 +120,7 @@ class LossyLink final : public Deployment {
       if (id == bad_request) perf->scenarios = 0;
       fleet_.send_perf_request(id, perf->request_id, perf->scenarios,
                                perf->months, perf->first, perf->last,
-                               perf->heuristic, *perf->reply);
+                               perf->heuristic, perf->reply);
       return;
     }
     const auto& exec = std::get<ExecuteRequest>(request);
@@ -127,12 +128,88 @@ class LossyLink final : public Deployment {
       exec.reply->send(SedResponse{*std::exchange(late_, std::nullopt)});
     if (id == silent_execute) return;
     fleet_.send_execute(id, exec.request_id, exec.scenarios, exec.months,
-                        exec.heuristic, *exec.reply);
+                        exec.heuristic, exec.reply);
   }
 
   Deployment& fleet_;
   std::optional<PerfResponse> late_;
 };
+
+/// A Deployment in front of a real fleet that holds back the first perf
+/// pull addressed to `held` and answers it only when the test says so,
+/// after the client has given up on that daemon.
+class HeldReply final : public Deployment {
+ public:
+  HeldReply(Deployment& fleet, ClusterId held) : fleet_(fleet), held_(held) {}
+
+  [[nodiscard]] int daemon_count() const override {
+    return fleet_.daemon_count();
+  }
+
+  [[nodiscard]] bool holding() const { return request_.has_value(); }
+
+  /// The held request's reply mailbox, without keeping it alive.
+  [[nodiscard]] std::weak_ptr<Mailbox<SedResponse>> mailbox() const {
+    return request_->reply;
+  }
+
+  /// Answers the held request now; returns whether the mailbox took it.
+  bool answer() {
+    const PerfRequest& r = *request_;
+    return r.reply->send(SedResponse{PerfResponse{
+        r.request_id, held_, r.first,
+        sched::PerformanceVector(static_cast<std::size_t>(r.last - r.first + 1),
+                                 0.0)}});
+  }
+
+  /// Drops the held request, as a daemon does once it has answered.
+  void release() { request_.reset(); }
+
+ private:
+  void deliver(ClusterId id, SedRequest request) override {
+    if (auto* perf = std::get_if<PerfRequest>(&request)) {
+      if (id == held_ && !request_) {
+        request_ = std::move(*perf);
+        return;
+      }
+      fleet_.send_perf_request(id, perf->request_id, perf->scenarios,
+                               perf->months, perf->first, perf->last,
+                               perf->heuristic, perf->reply);
+      return;
+    }
+    const auto& exec = std::get<ExecuteRequest>(request);
+    fleet_.send_execute(id, exec.request_id, exec.scenarios, exec.months,
+                        exec.heuristic, exec.reply);
+  }
+
+  Deployment& fleet_;
+  ClusterId held_;
+  std::optional<PerfRequest> request_;
+};
+
+TEST(FaultTolerance, ReplyAfterTheCampaignReturnedLandsInALiveMailbox) {
+  const auto grid = platform::make_builtin_grid(25);
+  const Ensemble ensemble{6, 8};
+  const auto heuristic = sched::Heuristic::kKnapsack;
+  MasterAgent agent(grid);
+  HeldReply link(agent, 2);
+  Client client(link);
+  const auto result = client.submit_with_deadline(ensemble, heuristic, 1000ms);
+  EXPECT_EQ(result.unresponsive, std::vector<ClusterId>{2});
+  expect_survivors_oracle(result, grid, ensemble, heuristic);
+
+  // The campaign has returned and its client-side state is gone; the
+  // request still owns the mailbox, which the client closed on its way
+  // out, so the late answer is dropped rather than written into freed
+  // memory (the ASan job runs this test).
+  ASSERT_TRUE(link.holding());
+  const std::weak_ptr<Mailbox<SedResponse>> mailbox = link.mailbox();
+  EXPECT_FALSE(mailbox.expired());
+  EXPECT_FALSE(link.answer());
+  link.release();
+  EXPECT_TRUE(mailbox.expired());  // the last owner let it go
+  agent.shutdown();
+}
 
 TEST(FaultTolerance, AllHealthyMatchesPlainSubmit) {
   const auto grid = platform::make_builtin_grid(25);
@@ -260,9 +337,9 @@ TEST(FaultTolerance, SilentExecutorKeepsItsShareWithoutAReport) {
 }
 
 TEST(FaultTolerance, DaemonErrorFailsTheCampaignNamingTheCluster) {
-  // Long scenarios keep the healthy daemons busy after the error reply: the
-  // failed campaign must still collect their replies before its mailbox
-  // goes, or they send into freed memory.
+  // Long scenarios keep the healthy daemons busy after the error reply: they
+  // answer after the failed campaign has thrown, into the mailbox their
+  // requests still share.
   const auto grid = platform::make_builtin_grid(20).prefix(3);
   const Ensemble ensemble{4, 1200};
   MasterAgent agent(grid);

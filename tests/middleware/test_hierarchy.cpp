@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "middleware/client.hpp"
 #include "middleware/master_agent.hpp"
 #include "platform/profiles.hpp"
@@ -40,15 +42,15 @@ TEST(LocalAgent, RoutesExecuteToTheOwningSubtree) {
   ServerDaemon s1(1, platform::make_builtin_cluster(1, 15));
   LocalAgent root({&s0, &s1});
 
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   ExecuteRequest request;
   request.request_id = 4;
   request.scenarios = 1;
   request.months = 2;
-  request.reply = &reply;
+  request.reply = reply;
   root.inbox().send(AgentMessage{AgentRoute{1, request}});
 
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(std::get<ExecuteResponse>(*response).cluster, 1);
   root.stop();
@@ -63,23 +65,23 @@ TEST(LocalAgent, RoutesRangedPerfRequestToTheOwningSubtree) {
   LocalAgent left({&s0, &s1});
   LocalAgent root({&left, &s2});
 
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   PerfRequest request;
   request.request_id = 6;
   request.scenarios = 4;
   request.months = 3;
   request.first = 2;
   request.last = 3;
-  request.reply = &reply;
+  request.reply = reply;
   root.inbox().send(AgentMessage{AgentRoute{1, SedRequest{request}}});
 
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   ASSERT_TRUE(response.has_value());
   const auto& perf = std::get<PerfResponse>(*response);
   EXPECT_EQ(perf.cluster, 1);
   EXPECT_EQ(perf.first, 2);
   EXPECT_EQ(perf.performance.size(), 2u);
-  EXPECT_FALSE(reply.try_receive().has_value());  // nobody else answered
+  EXPECT_FALSE(reply->try_receive().has_value());  // nobody else answered
   root.stop();
   left.stop();
   s0.stop();

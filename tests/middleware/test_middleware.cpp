@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -57,15 +58,15 @@ TEST(Mailbox, CrossThreadDelivery) {
 
 TEST(ServerDaemon, AnswersPerfRequest) {
   ServerDaemon daemon(0, platform::make_builtin_cluster(1, 30));
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   PerfRequest request;
   request.request_id = 42;
   request.scenarios = 4;
   request.months = 6;
   request.heuristic = sched::Heuristic::kKnapsack;
-  request.reply = &reply;
+  request.reply = reply;
   daemon.inbox().send(SedRequest{request});
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   ASSERT_TRUE(response.has_value());
   const auto& perf = std::get<PerfResponse>(*response);
   EXPECT_EQ(perf.request_id, 42);
@@ -82,16 +83,16 @@ TEST(ServerDaemon, AnswersRangedPerfRequest) {
   const sched::PerformanceVector full =
       sim::performance_vector(cluster, 6, 5, sched::Heuristic::kKnapsack);
   ServerDaemon daemon(4, cluster);
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   PerfRequest request;
   request.request_id = 3;
   request.scenarios = 6;
   request.months = 5;
   request.first = 3;
   request.last = 5;
-  request.reply = &reply;
+  request.reply = reply;
   daemon.inbox().send(SedRequest{request});
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   ASSERT_TRUE(response.has_value());
   const auto& perf = std::get<PerfResponse>(*response);
   EXPECT_EQ(perf.cluster, 4);
@@ -104,12 +105,12 @@ TEST(ServerDaemon, AnswersRangedPerfRequest) {
 TEST(ServerDaemon, AnswersABadRequestWithAnErrorAndStaysUp) {
   const platform::Cluster cluster = platform::make_builtin_cluster(1, 30);
   ServerDaemon daemon(2, cluster);
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   PerfRequest no_scenarios;
   no_scenarios.request_id = 11;
   no_scenarios.scenarios = 0;
   no_scenarios.months = 4;
-  no_scenarios.reply = &reply;
+  no_scenarios.reply = reply;
   PerfRequest inverted = no_scenarios;
   inverted.request_id = 12;
   inverted.scenarios = 5;
@@ -117,7 +118,7 @@ TEST(ServerDaemon, AnswersABadRequestWithAnErrorAndStaysUp) {
   inverted.last = 3;
   for (const PerfRequest& bad : {no_scenarios, inverted}) {
     daemon.inbox().send(SedRequest{bad});
-    const auto response = reply.receive();
+    const auto response = reply->receive();
     ASSERT_TRUE(response.has_value());
     const auto* error = std::get_if<ErrorResponse>(&*response);
     ASSERT_NE(error, nullptr) << "request #" << bad.request_id;
@@ -130,7 +131,7 @@ TEST(ServerDaemon, AnswersABadRequestWithAnErrorAndStaysUp) {
   valid.request_id = 13;
   valid.scenarios = 3;
   daemon.inbox().send(SedRequest{valid});
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   ASSERT_TRUE(response.has_value());
   const auto& perf = std::get<PerfResponse>(*response);
   EXPECT_EQ(perf.request_id, 13);
@@ -141,15 +142,15 @@ TEST(ServerDaemon, AnswersABadRequestWithAnErrorAndStaysUp) {
 
 TEST(ServerDaemon, AnswersExecuteRequest) {
   ServerDaemon daemon(3, platform::make_builtin_cluster(2, 25));
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   ExecuteRequest request;
   request.request_id = 7;
   request.scenarios = 3;
   request.months = 5;
   request.heuristic = sched::Heuristic::kBasic;
-  request.reply = &reply;
+  request.reply = reply;
   daemon.inbox().send(SedRequest{request});
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   ASSERT_TRUE(response.has_value());
   const auto& exec = std::get<ExecuteResponse>(*response);
   EXPECT_EQ(exec.cluster, 3);
@@ -162,20 +163,20 @@ TEST(ServerDaemon, AnswersExecuteRequest) {
 
 TEST(ServerDaemon, StreamsProgressWhenAsked) {
   ServerDaemon daemon(1, platform::make_builtin_cluster(1, 30));
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   ExecuteRequest request;
   request.request_id = 5;
   request.scenarios = 4;
   request.months = 10;  // 40 main tasks
   request.progress_every = 10;
-  request.reply = &reply;
+  request.reply = reply;
   daemon.inbox().send(SedRequest{request});
 
   int updates = 0;
   Count last_done = 0;
   Seconds last_time = -1.0;
   for (;;) {
-    const auto response = reply.receive();
+    const auto response = reply->receive();
     ASSERT_TRUE(response.has_value());
     if (const auto* progress = std::get_if<ProgressUpdate>(&*response)) {
       ++updates;
@@ -197,17 +198,17 @@ TEST(ServerDaemon, StreamsProgressWhenAsked) {
 
 TEST(ServerDaemon, NoProgressByDefault) {
   ServerDaemon daemon(0, platform::make_builtin_cluster(0, 25));
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   ExecuteRequest request;
   request.request_id = 6;
   request.scenarios = 2;
   request.months = 5;
-  request.reply = &reply;
+  request.reply = reply;
   daemon.inbox().send(SedRequest{request});
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   ASSERT_TRUE(response.has_value());
   EXPECT_TRUE(std::holds_alternative<ExecuteResponse>(*response));
-  EXPECT_EQ(reply.try_receive(), std::nullopt);
+  EXPECT_EQ(reply->try_receive(), std::nullopt);
   daemon.stop();
 }
 
@@ -285,9 +286,9 @@ TEST(Client, PullsExactlyTheEntriesAlgorithm1Reads) {
 TEST(MasterAgent, RoutesRangedPerfRequest) {
   const auto grid = platform::make_builtin_grid(20).prefix(3);
   MasterAgent agent(grid);
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   agent.send_perf_request(1, 8, 4, 6, 2, 4, sched::Heuristic::kBasic, reply);
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   ASSERT_TRUE(response.has_value());
   const auto& perf = std::get<PerfResponse>(*response);
   const sched::PerformanceVector full =

@@ -95,6 +95,11 @@ std::map<CampaignId, Final> capture(const CampaignService& service) {
   return out;
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 /// Submits the workload entries this (possibly recovered) service does not
 /// know about yet. Ids are arrival order, so entry i always becomes
 /// campaign i + 1; everything past the highest known id is missing.
@@ -212,6 +217,98 @@ TEST(Recovery, KillAtEveryRecordResumesToTheBaselineOutcome) {
       ASSERT_TRUE(replayed.events[i] == golden.events[i])
           << "kill point " << kill << " record " << i;
   }
+}
+
+// One admission slot and one owner queueing several campaigns under two
+// weights: at t = 100 alice's weight-1 and weight-2 fair-share buckets each
+// hold two campaigns, and bob's weight-1 bucket one.
+std::vector<Entry> bucket_workload() {
+  const auto spec = [](const std::string& owner, double weight, Count ns,
+                       Count nm) {
+    CampaignSpec s;
+    s.owner = owner;
+    s.weight = weight;
+    s.scenarios = ns;
+    s.months = nm;
+    return s;
+  };
+  return {{spec("alice", 1.0, 2, 3), 0.0},   {spec("alice", 1.0, 1, 2), 0.0},
+          {spec("alice", 2.0, 1, 3), 0.0},   {spec("bob", 1.0, 2, 2), 0.0},
+          {spec("alice", 2.0, 2, 2), 100.0}, {spec("alice", 1.0, 1, 1), 100.0},
+          {spec("bob", 2.0, 1, 2), 3000.0}};
+}
+
+ServiceOptions bucket_options(const std::string& dir, long long kill_after,
+                              Count snapshot_every) {
+  ServiceOptions options = make_options(dir, kill_after, snapshot_every);
+  options.max_active = 1;
+  return options;
+}
+
+// The kill matrix over multi-member buckets, resumed from snapshots: every
+// kill point must land on the uninterrupted run's outcome and records.
+TEST(Recovery, KillAtEveryRecordWithMultiMemberBucketsAndSnapshots) {
+  constexpr Count kSnapshotEvery = 5;
+  const std::vector<Entry> all = bucket_workload();
+  // The uninterrupted run journals every record (no compaction)...
+  const std::string base_dir = temp_dir("recovery-buckets-baseline");
+  auto baseline = make_service(bucket_options(base_dir, -1, 0));
+  submit_missing(*baseline, all);
+  ASSERT_TRUE(baseline->run());
+  const auto expected = capture(*baseline);
+  const auto golden = read_journal(CampaignService::journal_path(base_dir));
+  // ...and really queued two campaigns per alice bucket at t = 100.
+  for (const double weight : {1.0, 2.0}) {
+    int waiting = 0;
+    for (const CampaignId id : baseline->campaign_ids()) {
+      const CampaignState& state = baseline->campaign(id);
+      if (state.spec.owner == "alice" && state.spec.weight == weight &&
+          state.submit_time <= 100.0 && state.admit_time > 100.0)
+        ++waiting;
+    }
+    EXPECT_EQ(waiting, 2) << "weight " << weight;
+  }
+  // A run snapshotting at the same cadence ends on the same state.
+  const std::string snap_dir = temp_dir("recovery-buckets-snap-baseline");
+  auto snapshotted = make_service(bucket_options(snap_dir, -1, kSnapshotEvery));
+  submit_missing(*snapshotted, all);
+  ASSERT_TRUE(snapshotted->run());
+  ASSERT_EQ(capture(*snapshotted), expected);
+  const std::string snap_journal =
+      read_file(CampaignService::journal_path(snap_dir));
+
+  const std::string dir = temp_dir("recovery-buckets-kill");
+  const long long records = static_cast<long long>(golden.events.size());
+  bool snapshot_ever_used = false;
+  for (long long kill = 1; kill < records; ++kill) {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    {
+      auto victim = make_service(bucket_options(dir, kill, kSnapshotEvery));
+      submit_missing(*victim, all);
+      ASSERT_FALSE(victim->run()) << "kill point " << kill;
+    }
+    auto survivor = make_service(bucket_options(dir, -1, kSnapshotEvery));
+    const RecoveryReport report = survivor->recover();
+    snapshot_ever_used |= report.snapshot_used;
+    submit_missing(*survivor, all);
+    ASSERT_TRUE(survivor->run()) << "kill point " << kill;
+    ASSERT_EQ(capture(*survivor), expected) << "kill point " << kill;
+    ASSERT_EQ(survivor->state_signature(), baseline->state_signature())
+        << "kill point " << kill;
+    // The compacted journal holds the uninterrupted run's records from its
+    // base on, byte for byte.
+    const auto replayed = read_journal(CampaignService::journal_path(dir));
+    ASSERT_EQ(replayed.base_seq + replayed.events.size(), golden.events.size())
+        << "kill point " << kill;
+    for (std::size_t i = 0; i < replayed.events.size(); ++i)
+      ASSERT_TRUE(replayed.events[i] ==
+                  golden.events[replayed.base_seq + i])
+          << "kill point " << kill << " record " << replayed.base_seq + i;
+    EXPECT_EQ(read_file(CampaignService::journal_path(dir)), snap_journal)
+        << "kill point " << kill;
+  }
+  EXPECT_TRUE(snapshot_ever_used);
 }
 
 TEST(Recovery, TornFinalRecordIsDroppedAndRegenerated) {
@@ -339,11 +436,6 @@ TEST(Recovery, RecoverMustBeTheFirstCall) {
 }
 
 // --- group-commit journaling ----------------------------------------------
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
 
 ServiceOptions make_batch_options(const std::string& dir,
                                   long long kill_after = -1,

@@ -17,6 +17,7 @@
 /// (--kill-after injects a crash, --resume recovers from it).
 
 #include <array>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -803,6 +804,30 @@ std::vector<ServeEntry> parse_campaigns(const std::string& text) {
     return std::invalid_argument("bad campaign '" + item +
                                  "' (expected owner:NSxNM[:wW][@arrival])");
   };
+  // Each number must be the whole field, as ArgParser::get_int and
+  // get_double demand; weights and arrivals must also be finite.
+  const auto count = [&](const std::string& item, const std::string& field) {
+    std::size_t used = 0;
+    long long value = 0;
+    try {
+      value = std::stoll(field, &used);
+    } catch (const std::exception&) {
+      throw bad(item);
+    }
+    if (used != field.size()) throw bad(item);
+    return static_cast<Count>(value);
+  };
+  const auto finite = [&](const std::string& item, const std::string& field) {
+    std::size_t used = 0;
+    double value = 0.0;
+    try {
+      value = std::stod(field, &used);
+    } catch (const std::exception&) {
+      throw bad(item);
+    }
+    if (used != field.size() || !std::isfinite(value)) throw bad(item);
+    return value;
+  };
   std::vector<ServeEntry> entries;
   std::stringstream list(text);
   std::string item;
@@ -811,7 +836,7 @@ std::vector<ServeEntry> parse_campaigns(const std::string& text) {
     ServeEntry entry;
     std::string body = item;
     if (const auto at = body.find('@'); at != std::string::npos) {
-      entry.at = std::stod(body.substr(at + 1));
+      entry.at = finite(item, body.substr(at + 1));
       body.resize(at);
     }
     std::vector<std::string> parts;
@@ -822,12 +847,11 @@ std::vector<ServeEntry> parse_campaigns(const std::string& text) {
     entry.spec.owner = parts[0];
     const auto x = parts[1].find('x');
     if (x == std::string::npos) throw bad(item);
-    entry.spec.scenarios =
-        static_cast<Count>(std::stoll(parts[1].substr(0, x)));
-    entry.spec.months = static_cast<Count>(std::stoll(parts[1].substr(x + 1)));
+    entry.spec.scenarios = count(item, parts[1].substr(0, x));
+    entry.spec.months = count(item, parts[1].substr(x + 1));
     if (parts.size() == 3) {
       if (parts[2].size() < 2 || parts[2][0] != 'w') throw bad(item);
-      entry.spec.weight = std::stod(parts[2].substr(1));
+      entry.spec.weight = finite(item, parts[2].substr(1));
     }
     entries.push_back(std::move(entry));
   }
